@@ -16,7 +16,12 @@ simulation over columns:
 - the per-arrival decision sweep — project, admit or shed, enqueue,
   flush — runs either as a tight pure-Python loop over local lists or as
   a runtime-compiled C kernel (:mod:`repro.fleet._native`) that performs
-  the identical IEEE-754 operations in the identical order.
+  the identical IEEE-754 operations in the identical order;
+- every sweep logs its flushes as decision columns (replica, bucket,
+  size, start, service, finish, and each completion's request and
+  enqueue time), and one numpy post-pass turns them into observer
+  records, autoscaler latency history and the tightest accepted SLO —
+  so observed, autoscaled and gray runs take the C kernel as well.
 
 **Exactness.** The sweep replicates the event-loop engine decision for
 decision: admission projections accumulate queued-batch prices in bucket
@@ -45,7 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -104,6 +109,10 @@ SHED_REASON_OF_CODE = {
     SHED_CODE_TIMEOUT: SHED_TIMEOUT,
 }
 
+# Arrivals per C-kernel call: the kernel's completion and batch logs are
+# sized by one call, so this bounds their memory on any trace.
+SWEEP_CHUNK = 1 << 20
+
 
 def native_available() -> bool:
     """Whether the compiled C sweep is usable in this process."""
@@ -114,11 +123,22 @@ def native_available() -> bool:
 # state
 # ----------------------------------------------------------------------
 @dataclass
+class _DesignTables:
+    """Per-(design point) pricing: plain Python floats for the hot loop."""
+
+    price_full: List[float]        # full-batch price per bucket slot
+    ref_price: float               # price of the admission reference bucket
+    svc: List[List[float]]         # [bucket slot][batch size] service ms
+    cold_ms: float                 # cold-start window
+
+
+@dataclass
 class _Rep:
     """One replica's complete simulation state (picklable)."""
 
     rid: int
     spec: ReplicaSpec
+    tables: _DesignTables
     added_ms: float
     busy_until: float = 0.0
     busy_ms: float = 0.0
@@ -144,10 +164,6 @@ class _Rep:
     order: List[int] = field(default_factory=list)
     seen: List[bool] = field(default_factory=list)
     next_dl: Optional[float] = None
-    # (finish, engine latency) per completion in execution order; only
-    # maintained when the autoscaler needs its window-p99 signal, pruned
-    # to the unsampled suffix every tick.
-    hist: Optional[List[Tuple[float, float]]] = None
 
 
 @dataclass
@@ -165,6 +181,10 @@ class ColumnarFleetState:
     last_tick: float = 0.0
     busy_snapshot: float = 0.0
     events: List[ScaleEvent] = field(default_factory=list)
+    # (finish, engine latency) column chunks of completions the autoscaler
+    # has not sampled yet; only filled when it needs its window-p99
+    # signal, pruned to finishes past the last tick at every tick.
+    hist: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     # chaos-layer state (rides the shard pickle like everything else)
     chaos: ChaosStats = field(default_factory=ChaosStats)
     budget: Optional[RetryBudget] = None
@@ -247,16 +267,6 @@ def merge_shard_partials(
 # prepared run
 # ----------------------------------------------------------------------
 @dataclass
-class _DesignTables:
-    """Per-(design point) pricing: plain Python floats for the hot loop."""
-
-    price_full: List[float]        # full-batch price per bucket slot
-    ref_price: float               # price of the admission reference bucket
-    svc: List[List[float]]         # [bucket slot][batch size] service ms
-    cold_ms: float                 # cold-start window
-
-
-@dataclass
 class _Prepared:
     """One run's immutable inputs: trace columns, events, pricing."""
 
@@ -276,7 +286,6 @@ class _Prepared:
     scale_spec: Optional[ReplicaSpec]
     model_config: object
     resilience: Optional[ResiliencePolicy] = None
-    has_grays: bool = False          # any gray window in the event stream
     chaos_active: bool = False       # attach the report's chaos section
 
     @property
@@ -440,7 +449,6 @@ def _prepare(
         scale_spec=scale_spec,
         model_config=model.config,
         resilience=resilience,
-        has_grays=bool(grays),
         chaos_active=chaos_active,
     )
 
@@ -448,35 +456,75 @@ def _prepare(
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
+class _Batches(NamedTuple):
+    """Decision columns of flushed batches, one entry per flush; row
+    ``j``'s completions are ``idx``/``enq[offset[j]:offset[j] + take[j]]``."""
+
+    rid: np.ndarray        # int64   replica id
+    bucket: np.ndarray     # int64   bucket slot
+    take: np.ndarray       # int64   batch size
+    offset: np.ndarray     # int64   first completion of the row
+    start: np.ndarray      # float64 dispatch ms
+    service: np.ndarray    # float64 realized service ms (gray applied)
+    fin: np.ndarray        # float64 finish ms
+    idx: np.ndarray        # int64   completed request indices
+    enq: np.ndarray        # float64 their enqueue ms
+
+    @classmethod
+    def of(cls, ints, times, idx, enq) -> "_Batches":
+        """From ``[n, 4]`` (rid, bucket, take, offset) and ``[n, 3]``
+        (start, service, fin) row arrays."""
+        return cls(*ints.T.astype(np.int64), *times.T.copy(), idx, enq)
+
+
+def _cat(parts: List[np.ndarray], dtype) -> np.ndarray:
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+
 class _Accum:
-    """Per-shard completion/shed accumulator (arrays and lists mix)."""
+    """Per-shard completion/shed accumulator and batch log."""
 
     def __init__(self):
-        self.done_idx_py: List[int] = []
-        self.done_fin_py: List[float] = []
+        # Python flushes log one row per batch — (rid, bucket slot, take,
+        # offset, start, service, fin) — plus its (request, enqueue ms)
+        # pairs; kernel sweeps log whole column chunks.  take_batches()
+        # drains both for the engine's post-pass.
+        self.rows: List[tuple] = []
+        self.requests: List[Tuple[int, float]] = []
+        self.logged: List[_Batches] = []
         self.done_parts: List[Tuple[np.ndarray, np.ndarray]] = []
         self.shed_idx_py: List[int] = []
         self.shed_code_py: List[int] = []
         self.shed_parts: List[Tuple[np.ndarray, np.ndarray]] = []
 
+    def take_batches(self) -> List[_Batches]:
+        """Drain the batch log; Python rows also become completions here."""
+        logged, self.logged = self.logged, []
+        if self.rows:
+            rows = np.array(self.rows, dtype=np.float64)
+            reqs = np.array(self.requests, dtype=np.float64)
+            # cleared in place: sweeps bind these lists' methods locally
+            self.rows.clear()
+            self.requests.clear()
+            log = _Batches.of(
+                rows[:, :4], rows[:, 4:], reqs[:, 0].astype(np.int64), reqs[:, 1]
+            )
+            self.done_parts.append((log.idx, np.repeat(log.fin, log.take)))
+            logged.append(log)
+        return logged
+
     def to_partial(self) -> ShardPartial:
-        done_idx = [np.asarray(self.done_idx_py, dtype=np.int64)]
-        done_fin = [np.asarray(self.done_fin_py, dtype=np.float64)]
-        for idx, fin in self.done_parts:
-            done_idx.append(idx)
-            done_fin.append(fin)
-        shed_idx = [np.asarray(self.shed_idx_py, dtype=np.int64)]
-        shed_code = [np.asarray(self.shed_code_py, dtype=np.uint8)]
-        for idx, code in self.shed_parts:
-            shed_idx.append(idx)
-            shed_code.append(code.astype(np.uint8))
+        shed_parts = [
+            (np.asarray(self.shed_idx_py, dtype=np.int64),
+             np.asarray(self.shed_code_py, dtype=np.uint8))
+        ] + self.shed_parts
         return ShardPartial(
-            done_idx=np.concatenate(done_idx) if len(done_idx) > 1 else done_idx[0],
-            done_fin=np.concatenate(done_fin) if len(done_fin) > 1 else done_fin[0],
-            shed_idx=np.concatenate(shed_idx) if len(shed_idx) > 1 else shed_idx[0],
-            shed_code=(
-                np.concatenate(shed_code) if len(shed_code) > 1 else shed_code[0]
-            ),
+            done_idx=_cat([idx for idx, _ in self.done_parts], np.int64),
+            done_fin=_cat([fin for _, fin in self.done_parts], np.float64),
+            shed_idx=_cat([idx for idx, _ in shed_parts], np.int64),
+            shed_code=_cat([code for _, code in shed_parts], np.uint8),
         )
 
 
@@ -499,6 +547,7 @@ class ColumnarFleetEngine:
         self.wait = policy.max_wait_ms
         self.factor = prep.config.admit_slo_factor
         self.bucket_values = list(policy.buckets)
+        self._bucket_value_col = np.asarray(self.bucket_values, dtype=np.int64)
         self.ref_idx = self.bucket_values.index(reference_bucket(policy.buckets))
         self.track_hist = prep.autoscale is not None
         self.resilience = prep.resilience
@@ -513,18 +562,15 @@ class ColumnarFleetEngine:
         self._tables: Dict[Tuple[object, object], _DesignTables] = {}
         if use_native is None:
             use_native = _native.available()
-        # The C kernel covers the arrival sweep only; the autoscaler's
-        # history bookkeeping keeps those runs on the (still exact)
-        # Python sweep.  Gray windows stretch realized service inside the
-        # flush, which the kernel does not model — they force the (still
-        # exact) Python sweep too.
-        self.use_native = (
-            bool(use_native) and _native.available() and not prep.has_grays
-        )
+        # The C kernel takes every non-resilient sweep: gray windows are
+        # its per-replica slowdown, and observer records and autoscaler
+        # history come from the batch log's post-pass.
+        self.use_native = bool(use_native) and _native.available()
+        # The batch log only has consumers when something watches.
+        self._logging = self.obs is not None or self.track_hist
         # Global scratch for the native kernel (allocated lazily).
         self._finish_scratch: Optional[np.ndarray] = None
         self._shed_scratch: Optional[np.ndarray] = None
-        self._arr32: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # pricing
@@ -533,15 +579,10 @@ class ColumnarFleetEngine:
         key = (spec.accel_config, spec.device)
         tables = self._tables.get(key)
         if tables is None:
-            policy = self.prep.config.serving
-            table = service_table(
-                self.prep.model_config,
-                spec.accel_config,
-                spec.device,
-                policy.buckets,
-                self.M,
-            )
-            svc = table.tolist()
+            svc = service_table(
+                self.prep.model_config, spec.accel_config, spec.device,
+                self.prep.config.serving.buckets, self.M,
+            ).tolist()
             price_full = [row[self.M] for row in svc]
             tables = self._tables[key] = _DesignTables(
                 price_full=price_full,
@@ -574,13 +615,13 @@ class ColumnarFleetEngine:
         rep = _Rep(
             rid=state.next_id,
             spec=spec,
+            tables=tables,
             added_ms=now,
             # engine starts idle; a cold start blocks the device until
             # now + cold_ms (router.block_until's max against zero).
             busy_until=(now + tables.cold_ms) if cold else 0.0,
             queues=[[] for _ in range(self.B)],
             seen=[False] * self.B,
-            hist=[] if self.track_hist else None,
         )
         policy = self.prep.resilience
         if policy is not None and policy.breaker:
@@ -620,7 +661,7 @@ class ColumnarFleetEngine:
         if rep is None or rep.live or not rep.failed:
             return
         rep.failed = False
-        cold = self.tables_for(rep.spec).cold_ms
+        cold = rep.tables.cold_ms
         rep.busy_until = max(rep.busy_until, now + cold)
         if self.obs is not None:
             self.obs.on_recovery(rep.rid, now, cold)
@@ -645,7 +686,7 @@ class ColumnarFleetEngine:
             backlog = 0.0
         queued = 0.0
         M = self.M
-        tables = self.tables_for(rep.spec)
+        tables = rep.tables
         price = tables.price_full
         for b in rep.order:
             depth = len(rep.queues[b])
@@ -661,7 +702,7 @@ class ColumnarFleetEngine:
         # `nominal` is the memoized simulator price (the router estimate);
         # a gray window stretches the *realized* service exactly like
         # DeviceRouter.dispatch — same multiply, same operands.
-        nominal = self.tables_for(rep.spec).svc[b][take]
+        nominal = rep.tables.svc[b][take]
         service = nominal if rep.slowdown == 1.0 else nominal * rep.slowdown
         start = flush_ms if flush_ms > rep.busy_until else rep.busy_until
         fin = start + service
@@ -669,44 +710,15 @@ class ColumnarFleetEngine:
         rep.busy_ms += service
         rep.batches += 1
         rep.requests += take
-        done_idx = acc.done_idx_py
-        done_fin = acc.done_fin_py
-        hist = rep.hist
-        for idx, enq in requests:
-            done_idx.append(idx)
-            done_fin.append(fin)
-            if hist is not None:
-                hist.append((fin, fin - enq))
-        obs = self.obs
-        if obs is not None:
-            arrival = self.prep.arrival
-            slo = self.prep.slo
-            latencies = []
-            met = 0
-            # Worst-request critical path, same multiset min/max as the
-            # event-loop hook: arr is the fleet arrival column, enq the
-            # queue tuple's enqueue time — identical IEEE operands.
-            worst_arr = worst_enq = float("inf")
-            last_enq = float("-inf")
-            for idx, enq in requests:
-                arr = float(arrival[idx])
-                lat = fin - arr
-                latencies.append(lat)
-                if lat <= float(slo[idx]):
-                    met += 1
-                if arr < worst_arr or (arr == worst_arr and enq < worst_enq):
-                    worst_arr = arr
-                    worst_enq = enq
-                if enq > last_enq:
-                    last_enq = enq
-            obs.on_batch((
-                rep.rid, self.bucket_values[b], take, start, service,
-                fin - worst_arr, worst_enq - worst_arr,
-                last_enq - worst_enq, start - last_enq,
-            ))
-            obs.on_completions(fin, latencies, met)
-        # Same consumer order as Fleet._install_batch_hook: observer,
-        # then circuit breaker, then hedge cancellation.
+        # Completions, observer records and autoscaler history all come
+        # from this row in the post-pass.
+        acc.rows.append(
+            (rep.rid, b, take, len(acc.requests), start, service, fin)
+        )
+        acc.requests.extend(requests)
+        # Same consumer order as Fleet._install_batch_hook: circuit
+        # breaker, then hedge cancellation (the observer's record is the
+        # logged row above).
         breaker = rep.breaker
         if breaker is not None:
             transition = breaker.observe(
@@ -715,8 +727,8 @@ class ColumnarFleetEngine:
             )
             # opens/closes roll up from the breakers at finalize (the
             # live counters the event loop keeps are the same sums).
-            if transition is not None and obs is not None:
-                obs.on_breaker(rep.rid, fin, transition)
+            if transition is not None and self.obs is not None:
+                self.obs.on_breaker(rep.rid, fin, transition)
         if self._hedging:
             state = self._cur_state
             for idx, _enq in requests:
@@ -876,6 +888,9 @@ class ColumnarFleetEngine:
     # autoscaler tick (mirrors Autoscaler.tick)
     # ------------------------------------------------------------------
     def _tick(self, state: ColumnarFleetState, now: float, acc: _Accum) -> None:
+        # Batches flushed since the last sweep (deadlines due at this
+        # instant, retries) must reach the latency history first.
+        self._post_pass(state, acc)
         policy = self.prep.autoscale
         replicas = state.replicas
         live_n = len(state.live)
@@ -890,15 +905,15 @@ class ColumnarFleetEngine:
                 1.0, (total_busy - state.busy_snapshot) / (window * live_n)
             )
         samples: List[float] = []
-        for rep in replicas:
-            hist = rep.hist
-            if hist:
-                last = state.last_tick
-                for fin, lat in hist:
-                    if fin <= last:
-                        continue
-                    if fin <= now:
-                        samples.append(lat)
+        if state.hist:
+            # Completions finishing in (last tick, now] are this window's
+            # samples; the percentile sorts, so chunk order is immaterial.
+            fin = _cat([f for f, _ in state.hist], np.float64)
+            lat = _cat([l for _, l in state.hist], np.float64)
+            samples = lat[(fin > state.last_tick) & (fin <= now)].tolist()
+            # Finishes at or before this tick can never be sampled again.
+            keep = fin > now
+            state.hist = [(fin[keep], lat[keep])] if keep.any() else []
         if not samples:
             p99_ratio = 0.0
         else:
@@ -914,19 +929,6 @@ class ColumnarFleetEngine:
             self.obs.on_tick(now, utilization, p99_ratio, depth)
         state.last_tick = now
         state.busy_snapshot = total_busy
-        # prune sampled history: entries finishing at or before this tick
-        # can never be sampled again (finish times are non-decreasing).
-        for rep in replicas:
-            hist = rep.hist
-            if hist:
-                cut = 0
-                for fin, _ in hist:
-                    if fin <= now:
-                        cut += 1
-                    else:
-                        break
-                if cut:
-                    del hist[:cut]
 
         if state.cooldown > 0:
             state.cooldown -= 1
@@ -985,69 +987,85 @@ class ColumnarFleetEngine:
             # trace) — and even the no-live-replica case must route
             # through it so sheds can become scheduled retries.
             self._run_arrivals_resilient(state, lo, hi, acc)
+            self._post_pass(state, acc)
             return
         if not state.live:
             # No live replica: every arrival sheds with no-capacity, and
             # with no queues there are no deadlines to fire (vectorized).
-            acc.shed_parts.append(
-                (
-                    np.arange(lo, hi, dtype=np.int64),
-                    np.full(hi - lo, SHED_CODE_NO_CAPACITY, dtype=np.uint8),
-                )
-            )
-            if self.obs is not None:
-                window = self.prep.arrival[lo:hi]
-                self.obs.on_arrivals(window)
-                self.obs.on_sheds(window, SHED_NO_CAPACITY)
-            if state.min_slo is None:
-                pass  # min_accepted_slo only updates on admission
-            state.now = max(state.now, float(self.prep.arrival[hi - 1]))
-            return
-        # The C kernel has no observability seams; an attached observer
-        # forces the (byte-identical) Python sweep, like track_hist does.
-        if self.use_native and not self.track_hist and self.obs is None:
-            self._run_arrivals_native(state, lo, hi, acc)
+            shed, code = np.arange(lo, hi, dtype=np.int64), SHED_CODE_NO_CAPACITY
         else:
-            self._run_arrivals_python(state, lo, hi, acc)
+            if self.use_native:
+                shed = self._run_arrivals_native(state, lo, hi, acc)
+            else:
+                shed = self._run_arrivals_python(state, lo, hi, acc)
+            code = SHED_CODE_OVERLOAD
+        if shed.shape[0]:
+            acc.shed_parts.append(
+                (shed, np.full(shed.shape[0], code, dtype=np.uint8))
+            )
         state.now = max(state.now, float(self.prep.arrival[hi - 1]))
-        # min_accepted_slo: tightest SLO among *accepted* requests.  The
-        # sweep records sheds, so accepted = range minus sheds; taking the
-        # running min of accepted SLOs in order equals the event loop's
-        # incremental update.
-        self._update_min_slo(state, lo, hi, acc)
+        self._post_pass(state, acc, (lo, hi, shed, code))
 
-    def _update_min_slo(
-        self, state: ColumnarFleetState, lo: int, hi: int, acc: _Accum
+    def _post_pass(
+        self, state: ColumnarFleetState, acc: _Accum, sweep: Optional[tuple] = None
     ) -> None:
-        if not self.track_hist and self.prep.autoscale is None:
-            # min_accepted_slo only feeds the autoscaler's p99 floor; skip
-            # the bookkeeping entirely on fixed fleets.
+        """Turn the logged decision columns into everything that reads them.
+
+        The one place flushed batches become observer records (batch
+        spans with the worst-request critical path, completions and
+        SLO-met counts) and autoscaler latency history.  Given an arrival
+        sweep's ``(lo, hi, shed indices, shed code)`` it also records the
+        span's arrivals and sheds and folds its accepted SLOs into
+        ``min_slo``.  It runs at the end of every arrival sweep, before
+        every tick and before a window's partial leaves, so each consumer
+        sees every batch flushed before it.  Each value is the same IEEE
+        operation on the same operands as a per-batch loop, and the
+        observer's aggregates are multiset functions (trace export is
+        sorted), so record order never changes a byte.
+        """
+        batches = acc.take_batches()
+        obs = self.obs
+        prep = self.prep
+        if sweep is not None:
+            lo, hi, shed, code = sweep
+            if obs is not None:
+                obs.on_arrivals(prep.arrival[lo:hi])
+                if shed.shape[0]:
+                    obs.on_sheds(prep.arrival[shed], SHED_REASON_OF_CODE[code])
+            if self.track_hist:
+                # min_accepted_slo only feeds the autoscaler's p99 floor.
+                # The event loop's running min over admissions equals the
+                # min over the span's accepted rows (min is exact).
+                accepted = np.ones(hi - lo, dtype=bool)
+                accepted[shed - lo] = False
+                if accepted.any():
+                    tightest = float(prep.slo[lo:hi][accepted].min())
+                    if state.min_slo is None or tightest < state.min_slo:
+                        state.min_slo = tightest
+        if not self._logging:
             return
-        slo = self.prep.slo
-        shed_in_range = set()
-        for idx in acc.shed_idx_py:
-            if lo <= idx < hi:
-                shed_in_range.add(idx)
-        for idx_arr, _ in acc.shed_parts:
-            if idx_arr.shape[0]:
-                in_range = idx_arr[(idx_arr >= lo) & (idx_arr < hi)]
-                shed_in_range.update(int(x) for x in in_range)
-        current = state.min_slo
-        for i in range(lo, hi):
-            if i in shed_in_range:
+        for log in batches:
+            if self.track_hist:
+                fin = np.repeat(log.fin, log.take)
+                state.hist.append((fin, fin - log.enq))
+            if obs is None:
                 continue
-            value = float(slo[i])
-            if current is None or value < current:
-                current = value
-        state.min_slo = current
+            obs.on_batch_columns(
+                log.rid, self._bucket_value_col[log.bucket], log.take,
+                log.offset, log.start, log.service, log.fin,
+                prep.arrival[log.idx], log.enq, prep.slo[log.idx],
+            )
 
     def _run_arrivals_python(
         self, state: ColumnarFleetState, lo: int, hi: int, acc: _Accum
-    ) -> None:
-        """The pure-Python sweep: exact event-loop semantics on local lists."""
+    ) -> np.ndarray:
+        """The pure-Python sweep: exact event-loop semantics on local lists.
+
+        The reference the C kernel is tested against.  Returns the indices
+        it shed, ascending.
+        """
         replicas = state.replicas
-        live = state.live
-        lreps = [replicas[rid] for rid in live]
+        lreps = [replicas[rid] for rid in state.live]
         L = len(lreps)
         M = self.M
         wait = self.wait
@@ -1062,22 +1080,16 @@ class ColumnarFleetEngine:
         order = [r.order for r in lreps]            # shared mutable lists
         seen = [r.seen for r in lreps]
         next_dl = [inf if r.next_dl is None else r.next_dl for r in lreps]
-        tabs = [self.tables_for(r.spec) for r in lreps]
-        price = [t.price_full for t in tabs]
-        ref = [t.ref_price for t in tabs]
-        svc = [t.svc for t in tabs]
+        price = [r.tables.price_full for r in lreps]
+        ref = [r.tables.ref_price for r in lreps]
+        svc = [r.tables.svc for r in lreps]
         # Gray-window multipliers are control-event state: they can only
         # change between sweeps, so a local snapshot is exact.
         slows = [r.slowdown for r in lreps]
-        hists = [r.hist for r in lreps]
-        done_idx = acc.done_idx_py
-        done_fin = acc.done_fin_py
-        shed_idx = acc.shed_idx_py
-        shed_code = acc.shed_code_py
-        obs = self.obs
         rids = [r.rid for r in lreps]
-        arrival_col = self.prep.arrival
-        slo_col = self.prep.slo
+        rows = acc.rows
+        logged = acc.requests
+        shed: List[int] = []
 
         def flush(k: int, b: int, flush_ms: float) -> None:
             queue = queues[k][b]
@@ -1093,34 +1105,8 @@ class ColumnarFleetEngine:
             busy_ms[k] += service
             batches[k] += 1
             served[k] += take
-            hist = hists[k]
-            for idx, enq in requests:
-                done_idx.append(idx)
-                done_fin.append(fin)
-                if hist is not None:
-                    hist.append((fin, fin - enq))
-            if obs is not None:
-                latencies = []
-                met = 0
-                worst_arr = worst_enq = inf
-                last_enq = -inf
-                for idx, enq in requests:
-                    arr = float(arrival_col[idx])
-                    lat = fin - arr
-                    latencies.append(lat)
-                    if lat <= float(slo_col[idx]):
-                        met += 1
-                    if arr < worst_arr or (arr == worst_arr and enq < worst_enq):
-                        worst_arr = arr
-                        worst_enq = enq
-                    if enq > last_enq:
-                        last_enq = enq
-                obs.on_batch((
-                    rids[k], values[b], take, start, service,
-                    fin - worst_arr, worst_enq - worst_arr,
-                    last_enq - worst_enq, start - last_enq,
-                ))
-                obs.on_completions(fin, latencies, met)
+            rows.append((rids[k], b, take, len(logged), start, service, fin))
+            logged.extend(requests)
             nd = inf
             q_k = queues[k]
             for b2 in order[k]:
@@ -1143,13 +1129,6 @@ class ColumnarFleetEngine:
             due.sort()
             for deadline, _, b in due:
                 flush(k, b, deadline)
-
-        if obs is not None and hi > lo:
-            # Bulk-record the span's arrivals upfront — the same move the
-            # event-loop runner makes over the whole trace.  Watermark-safe:
-            # recording early only makes records available sooner than any
-            # flush that could close their window.
-            obs.on_arrivals(arrival_col[lo:hi])
 
         g = min(next_dl) if next_dl else inf
         step = 1 << 20
@@ -1186,10 +1165,7 @@ class ColumnarFleetEngine:
                         best = k
                 i = pos + k2
                 if bestp > factor * ss[k2]:
-                    shed_idx.append(i)
-                    shed_code.append(SHED_CODE_OVERLOAD)
-                    if obs is not None:
-                        obs.on_shed(t, SHED_OVERLOAD)
+                    shed.append(i)
                     continue
                 b = bs[k2]
                 queue = queues[best][b]
@@ -1215,33 +1191,50 @@ class ColumnarFleetEngine:
             rep.requests = served[k]
             rep.next_dl = None if next_dl[k] == inf else next_dl[k]
             rep.pending = sum(len(q) for q in queues[k])
+        return np.asarray(shed, dtype=np.int64)
 
     def _run_arrivals_native(
         self, state: ColumnarFleetState, lo: int, hi: int, acc: _Accum
-    ) -> None:
-        """Pack state, run the C kernel, unpack — identical decisions."""
+    ) -> np.ndarray:
+        """Pack state, run the C kernel, unpack — identical decisions.
+
+        The kernel runs over chunks of at most :data:`SWEEP_CHUNK`
+        arrivals with the packed state carried from call to call, so its
+        batch logs are sized per chunk, never per trace; they are NULL
+        when nothing reads them.  Returns the indices it shed, ascending.
+        """
         lib = _native.load()
         replicas = state.replicas
-        live = state.live
-        lreps = [replicas[rid] for rid in live]
+        lreps = [replicas[rid] for rid in state.live]
         L = len(lreps)
         B = self.B
         M = self.M
-        n = self.prep.num_requests
+        # One call completes at most its arrivals plus every queued
+        # request; that count bounds the int32 batch-log offsets.
+        cap = min(hi - lo, SWEEP_CHUNK) + L * B * M
+        if cap > _native.INDEX_LIMIT:
+            raise ValueError(
+                f"a kernel call over {min(hi - lo, SWEEP_CHUNK)} arrivals with "
+                f"up to {L * B * M} queued requests exceeds the kernel's int32 "
+                f"index limit of {_native.INDEX_LIMIT}"
+            )
         if self._finish_scratch is None:
+            n = self.prep.num_requests
             self._finish_scratch = np.zeros(n, dtype=np.float64)
             self._shed_scratch = np.zeros(n, dtype=np.uint8)
-        if self._arr32 is None:
-            self._arr32 = self.prep.bucket_idx  # already int32
+        finish = self._finish_scratch
+        shed = self._shed_scratch
 
         busy_until = np.array([r.busy_until for r in lreps], dtype=np.float64)
         busy_ms = np.array([r.busy_ms for r in lreps], dtype=np.float64)
         batches = np.array([r.batches for r in lreps], dtype=np.int64)
         served = np.array([r.requests for r in lreps], dtype=np.int64)
-        tabs = [self.tables_for(r.spec) for r in lreps]
-        price_full = np.array([t.price_full for t in tabs], dtype=np.float64)
-        ref_price = np.array([t.ref_price for t in tabs], dtype=np.float64)
-        svc = np.array([t.svc for t in tabs], dtype=np.float64)
+        price_full = np.array(
+            [r.tables.price_full for r in lreps], dtype=np.float64
+        ).reshape(-1)
+        ref_price = np.array([r.tables.ref_price for r in lreps], dtype=np.float64)
+        svc = np.array([r.tables.svc for r in lreps], dtype=np.float64).reshape(-1)
+        slowdown = np.array([r.slowdown for r in lreps], dtype=np.float64)
         depth = np.zeros((L, B), dtype=np.int32)
         qidx = np.zeros((L, B, M), dtype=np.int64)
         qenq = np.zeros((L, B, M), dtype=np.float64)
@@ -1250,68 +1243,73 @@ class ColumnarFleetEngine:
         order_n = np.zeros(L, dtype=np.int32)
         next_dl = np.full(L, np.inf, dtype=np.float64)
         for k, rep in enumerate(lreps):
-            for j, b in enumerate(rep.order):
-                order[k, j] = b
             order_n[k] = len(rep.order)
-            for b in range(B):
-                if rep.seen[b]:
-                    seen[k, b] = 1
-                queue = rep.queues[b]
+            order[k, : order_n[k]] = rep.order
+            seen[k] = rep.seen
+            for b, queue in enumerate(rep.queues):
                 depth[k, b] = len(queue)
-                for j, (idx, enq) in enumerate(queue):
-                    qidx[k, b, j] = idx
-                    qenq[k, b, j] = enq
+                if queue:
+                    qidx[k, b, : len(queue)], qenq[k, b, : len(queue)] = zip(*queue)
             if rep.next_dl is not None:
                 next_dl[k] = rep.next_dl
-        carried = int(depth.sum())
-        done_log = np.empty((hi - lo) + carried + 8, dtype=np.int64)
-        done_n = np.zeros(1, dtype=np.int64)
-        bucket_value = np.array(self.bucket_values, dtype=np.int64)
+        bucket_value = self._bucket_value_col
         due_dl = np.empty(B, dtype=np.float64)
         due_bv = np.empty(B, dtype=np.int64)
         due_b = np.empty(B, dtype=np.int64)
+        done_log = np.empty((hi - lo) + int(depth.sum()), dtype=np.int64)
+        logging = self._logging
+        done_enq = np.empty(cap, dtype=np.float64) if logging else None
+        log_ints = np.empty((cap, 4), dtype=np.int32) if logging else None
+        log_times = np.empty((cap, 3), dtype=np.float64) if logging else None
+        counts = np.zeros(2, dtype=np.int64)
+        rids = np.array([r.rid for r in lreps], dtype=np.int64)
 
-        lib.arrival_run(
-            lo, hi,
-            self.prep.arrival, self.prep.bucket_idx, self.prep.slo,
-            L, B, M,
-            self.wait, self.factor, self.prep.uniform_slo,
-            busy_until, busy_ms, batches, served,
-            price_full.reshape(-1), ref_price, svc.reshape(-1),
-            depth.reshape(-1), qidx.reshape(-1), qenq.reshape(-1),
-            seen.reshape(-1), order.reshape(-1), order_n,
-            next_dl, bucket_value,
-            self._shed_scratch, self._finish_scratch,
-            done_log, done_n,
-            due_dl, due_bv, due_b,
-        )
-
-        count = int(done_n[0])
-        done = done_log[:count].copy()
-        acc.done_parts.append((done, self._finish_scratch[done]))
-        window = self._shed_scratch[lo:hi]
-        nz = np.flatnonzero(window)
-        if nz.shape[0]:
-            acc.shed_parts.append(
-                ((nz + lo).astype(np.int64), window[nz].copy())
+        written = 0
+        pos = lo
+        while pos < hi:
+            end = min(pos + SWEEP_CHUNK, hi)
+            lib.arrival_run(
+                pos, end,
+                self.prep.arrival, self.prep.bucket_idx, self.prep.slo,
+                L, B, M,
+                self.wait, self.factor, self.prep.uniform_slo,
+                busy_until, busy_ms, batches, served,
+                price_full, ref_price, svc, slowdown,
+                depth.reshape(-1), qidx.reshape(-1), qenq.reshape(-1),
+                seen.reshape(-1), order.reshape(-1), order_n,
+                next_dl, bucket_value,
+                shed, finish,
+                done_log[written:], done_enq, log_ints, log_times, counts,
+                due_dl, due_bv, due_b,
             )
+            count, flushes = int(counts[0]), int(counts[1])
+            if logging and flushes:
+                log = _Batches.of(
+                    log_ints[:flushes], log_times[:flushes],
+                    done_log[written : written + count].copy(),
+                    done_enq[:count].copy(),
+                )
+                acc.logged.append(log._replace(rid=rids[log.rid]))
+            written += count
+            pos = end
+        done = done_log[:written].copy()
+        acc.done_parts.append((done, finish[done]))
+
         for k, rep in enumerate(lreps):
             rep.busy_until = float(busy_until[k])
             rep.busy_ms = float(busy_ms[k])
             rep.batches = int(batches[k])
             rep.requests = int(served[k])
-            rep.order = [int(b) for b in order[k, : int(order_n[k])]]
-            rep.seen = [bool(seen[k, b]) for b in range(B)]
+            rep.order = order[k, : order_n[k]].tolist()
+            rep.seen = seen[k].astype(bool).tolist()
             rep.queues = [
-                [
-                    (int(qidx[k, b, j]), float(qenq[k, b, j]))
-                    for j in range(int(depth[k, b]))
-                ]
-                for b in range(B)
+                list(zip(qidx[k, b, :d].tolist(), qenq[k, b, :d].tolist()))
+                for b, d in enumerate(depth[k].tolist())
             ]
             rep.pending = int(depth[k].sum())
             nd = float(next_dl[k])
             rep.next_dl = None if math.isinf(nd) else nd
+        return np.flatnonzero(shed[lo:hi]).astype(np.int64, copy=False) + lo
 
     # ------------------------------------------------------------------
     # resilient request path (chaos layer) — mirrors Fleet._attempt
@@ -1551,8 +1549,7 @@ class ColumnarFleetEngine:
             if time_ms > state.now:
                 state.now = time_ms
         self._run_arrivals(state, pos, ahi, acc)
-        self._cur_state = None
-        return acc.to_partial()
+        return self._close(state, acc)
 
     def drain_retries(self, state: ColumnarFleetState) -> ShardPartial:
         """Fire every retry still scheduled past the last window's events.
@@ -1564,8 +1561,7 @@ class ColumnarFleetEngine:
         acc = _Accum()
         self._cur_state = state
         self._fire_retries(state, acc, math.inf, inclusive=True)
-        self._cur_state = None
-        return acc.to_partial()
+        return self._close(state, acc)
 
     def drain(self, state: ColumnarFleetState) -> ShardPartial:
         """``Fleet.drain``: flush remaining queues, all replicas, id order."""
@@ -1580,6 +1576,11 @@ class ColumnarFleetEngine:
                 now = max(now, deadline)
                 self._fire_dues(rep, now, acc)
             rep.next_dl = None
+        return self._close(state, acc)
+
+    def _close(self, state: ColumnarFleetState, acc: _Accum) -> ShardPartial:
+        """Post-pass the batches still logged, then hand off the partial."""
+        self._post_pass(state, acc)
         self._cur_state = None
         return acc.to_partial()
 
@@ -1799,8 +1800,8 @@ def run_scenario_columnar(
             are identical either way.
         obs: Optional :class:`repro.obs.FleetObserver`.  Never changes a
             report byte; metric streams are byte-identical to the
-            event-loop runner's at any shard count (the C kernel is
-            bypassed while an observer is attached).
+            event-loop runner's at any shard count, on the C kernel or
+            the Python sweep alike.
         chaos: Optional :class:`~repro.fleet.chaos.ChaosPlan` — same
             semantics as the event-loop runner's parameter (fail-stops,
             zone outages, gray windows).

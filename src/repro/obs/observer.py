@@ -127,6 +127,37 @@ class FleetObserver:
     ) -> None:
         self.windows.record_completions(finish_ms, latencies, slo_met)
 
+    def on_batch_columns(
+        self, replica, bucket, size, offset, start, service, finish,
+        arrival, enqueue, slo,
+    ) -> None:
+        """Record many dispatched batches and their completions at once.
+
+        Numpy columns: the first seven hold one entry per batch; the
+        last three one per completed request, batch ``j``'s requests at
+        ``[offset[j], offset[j] + size[j])``.  Records the same window
+        completions and :meth:`on_batch` spans as a per-batch loop, from
+        the same IEEE operations on the same operands — this is how the
+        columnar engine's post-pass hands over its batch log.
+        """
+        import numpy as np
+
+        fin = np.repeat(finish, size)
+        latency = fin - arrival
+        self.windows.record_completion_columns(fin, latency, latency <= slo)
+        # Each batch's worst request: earliest fleet arrival, ties by
+        # earliest enqueue; batch formation ends at its last enqueue.
+        worst_arr = np.minimum.reduceat(arrival, offset)
+        tied = np.where(arrival == np.repeat(worst_arr, size), enqueue, np.inf)
+        worst_enq = np.minimum.reduceat(tied, offset)
+        last_enq = np.maximum.reduceat(enqueue, offset)
+        self._batch_spans.extend(zip(
+            replica.tolist(), bucket.tolist(), size.tolist(),
+            start.tolist(), service.tolist(),
+            (finish - worst_arr).tolist(), (worst_enq - worst_arr).tolist(),
+            (last_enq - worst_enq).tolist(), (start - last_enq).tolist(),
+        ))
+
     def on_batch(self, span: tuple) -> None:
         """Record one dispatched batch.
 

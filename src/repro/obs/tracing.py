@@ -15,6 +15,8 @@ replica sweep) still render the same bytes.
 from __future__ import annotations
 
 import json
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 __all__ = ["Tracer"]
@@ -24,15 +26,36 @@ _PID = 0  # single simulated process; replicas map to threads
 
 def _event_sort_key(event: Dict) -> tuple:
     # Metadata first (ts -1), then by timestamp / thread / phase / name /
-    # duration / canonical args — a total order over everything we emit.
+    # duration; sorted_events breaks the remaining ties by canonical args.
     return (
         event.get("ts", -1.0),
         event.get("tid", 0),
         event.get("ph", ""),
         event.get("name", ""),
         event.get("dur", 0.0),
-        json.dumps(event.get("args", {}), sort_keys=True),
     )
+
+
+def _canonical_args(event: Dict) -> str:
+    return json.dumps(event.get("args", {}), sort_keys=True)
+
+
+def sorted_events(events: List[Dict]) -> List[Dict]:
+    """Events in export order: the five cheap key fields, then canonical args.
+
+    The same total order as sorting on the six-field key, but the args
+    are serialised only inside runs of events tied on all five fields
+    (both sorts are stable, so fully tied events keep their input order
+    either way).
+    """
+    keyed = sorted(((_event_sort_key(e), e) for e in events), key=itemgetter(0))
+    ordered: List[Dict] = []
+    for _, run in groupby(keyed, key=itemgetter(0)):
+        tied = [event for _, event in run]
+        if len(tied) > 1:
+            tied.sort(key=_canonical_args)
+        ordered.extend(tied)
+    return ordered
 
 
 class Tracer:
@@ -124,7 +147,7 @@ class Tracer:
     def to_chrome(self) -> Dict:
         return {
             "displayTimeUnit": "ms",
-            "traceEvents": sorted(self.events, key=_event_sort_key),
+            "traceEvents": sorted_events(self.events),
         }
 
     def to_json(self) -> str:

@@ -102,7 +102,7 @@ class WindowTracker:
         win.arrivals += 1
 
     def record_arrivals(self, times_ms) -> None:
-        """Bulk arrival recording for columnar spans with no live replicas.
+        """Bulk arrival recording for a columnar sweep span.
 
         ``(t / W).astype(int64)`` truncates the same IEEE quotient as the
         scalar ``int(t / W)`` for the non-negative simulated clock, so the
@@ -166,6 +166,36 @@ class WindowTracker:
         win.completions += len(latencies)
         win.latencies.extend(latencies)
         win.slo_met += slo_met
+
+    def record_completion_columns(self, finish_ms, latencies, slo_met) -> None:
+        """Bulk completions: per-row finish, latency and SLO-met columns.
+
+        Rows land in the window ``int(finish / W)`` picks for each, like
+        :meth:`record_completion`; latencies are appended per window
+        (their order never matters).
+        """
+        import numpy as np
+
+        indices = (np.asarray(finish_ms, dtype=np.float64) / self.window_ms).astype(
+            np.int64
+        )
+        order = np.argsort(indices, kind="stable")
+        indices = indices[order]
+        latencies = np.asarray(latencies, dtype=np.float64)[order]
+        met = np.asarray(slo_met, dtype=np.int64)[order]
+        keys, starts = np.unique(indices, return_index=True)
+        ends = np.append(starts[1:], indices.shape[0])
+        met_counts = np.add.reduceat(met, starts)
+        live = self._live
+        for index, lo, hi, met_n in zip(
+            keys.tolist(), starts.tolist(), ends.tolist(), met_counts.tolist()
+        ):
+            win = live.get(index)
+            if win is None:
+                win = live[index] = _Win()
+            win.completions += hi - lo
+            win.latencies.extend(latencies[lo:hi].tolist())
+            win.slo_met += met_n
 
     def record_scale(self, t_ms: float, action: str) -> None:
         win = self._win(t_ms)

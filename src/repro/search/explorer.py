@@ -34,6 +34,7 @@ from ..accel.config import AcceleratorConfig
 from ..accel.devices import FpgaDevice
 from ..accel.simulator import AcceleratorSimulator, SimulationReport
 from ..bert.config import BertConfig
+from ..serve.router import clear_service_tables
 from .space import Candidate, DesignSpace
 
 DEFAULT_OBJECTIVES: Tuple[str, ...] = ("latency", "energy", "headroom")
@@ -75,8 +76,10 @@ def evaluate_candidate(
 
 
 def clear_evaluation_cache() -> None:
-    """Drop every memoized evaluation (bench cold-start hook)."""
+    """Drop every memoized evaluation and batch-price table (bench
+    cold-start hook)."""
     _EVAL_CACHE.clear()
+    clear_service_tables()
 
 
 def evaluation_cache_size() -> int:

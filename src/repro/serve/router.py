@@ -31,6 +31,9 @@ from ..bert.config import BertConfig
 
 DeviceSpec = Tuple[AcceleratorConfig, FpgaDevice]
 
+# Process-wide memo of service_table results, keyed on every input.
+_SERVICE_TABLES: Dict[tuple, object] = {}
+
 
 @dataclass
 class DeviceState:
@@ -213,14 +216,29 @@ def service_table(
         max_batch_size: Largest batch the batcher can flush.
 
     Returns:
-        ``numpy.ndarray`` of shape ``(len(buckets), max_batch_size + 1)``.
+        Read-only ``numpy.ndarray`` of shape ``(len(buckets),
+        max_batch_size + 1)``, memoized process-wide (shared by every
+        caller with equal arguments; :func:`clear_service_tables` drops
+        the memo).
     """
     import numpy as np
 
-    simulator = AcceleratorSimulator(accel_config, device)
-    table = np.zeros((len(buckets), max_batch_size + 1), dtype=np.float64)
-    for b, bucket in enumerate(buckets):
-        for size in range(1, max_batch_size + 1):
-            report = simulator.simulate(model_config, seq_len=bucket, batch_size=size)
-            table[b, size] = report.latency_ms
+    key = (model_config, accel_config, device, tuple(buckets), max_batch_size)
+    table = _SERVICE_TABLES.get(key)
+    if table is None:
+        simulator = AcceleratorSimulator(accel_config, device)
+        table = np.zeros((len(buckets), max_batch_size + 1), dtype=np.float64)
+        for b, bucket in enumerate(buckets):
+            for size in range(1, max_batch_size + 1):
+                report = simulator.simulate(
+                    model_config, seq_len=bucket, batch_size=size
+                )
+                table[b, size] = report.latency_ms
+        table.setflags(write=False)
+        _SERVICE_TABLES[key] = table
     return table
+
+
+def clear_service_tables() -> None:
+    """Drop every memoized :func:`service_table` (cold-start hook)."""
+    _SERVICE_TABLES.clear()

@@ -147,3 +147,40 @@ class TestInputForms:
         )
         assert got.stats.submitted == 0
         assert got.to_json() == ref.to_json()
+
+
+class TestPostPass:
+    """The post-pass that turns sweep columns into autoscaler inputs."""
+
+    @pytest.mark.parametrize("native", [False, True], ids=["python", "kernel"])
+    def test_min_slo_is_tightest_accepted_slo(
+        self, native, cluster_model, hash_tokenizer, hetero_specs, fleet_config
+    ):
+        if native and not native_available():
+            pytest.skip("no C compiler")
+        from repro.fleet import FleetRequest
+        from repro.fleet.columnar import ColumnarFleetEngine, _prepare, shard_windows
+
+        # Loose-SLO traffic first; the tight tenant only arrives after
+        # several ticks have split the trace into separate sweeps.
+        trace = [
+            FleetRequest("loose", 500.0, f"text {i}", None, 2.0 * i)
+            for i in range(60)
+        ] + [
+            FleetRequest("tight", 40.0 + i, f"late {i}", None, 130.0 + i)
+            for i in range(5)
+        ]
+        prep = _prepare(
+            trace, cluster_model, hash_tokenizer, hetero_specs, fleet_config,
+            AutoscalePolicy(min_replicas=2, max_replicas=3, interval_ms=20.0),
+            None, (), 0, 1.0, 1.0,
+        )
+        engine = ColumnarFleetEngine(prep, use_native=native)
+        state = engine.initial_state()
+        partials = [
+            engine.run_window(state, alo, ahi, events)
+            for alo, ahi, events in shard_windows(prep, 2)
+        ]
+        shed = {int(i) for p in partials for i in p.shed_idx}
+        accepted = [r.slo_ms for i, r in enumerate(trace) if i not in shed]
+        assert state.min_slo == min(accepted) == 40.0

@@ -21,10 +21,14 @@ import pytest
 
 from repro.fleet import (
     AutoscalePolicy,
+    ChaosPlan,
     FailureEvent,
+    GrayWindow,
+    native_available,
     run_scenario,
     run_scenario_columnar,
 )
+from repro.fleet.columnar import ColumnarFleetEngine
 from repro.fleet.scenarios import SCENARIO_NAMES
 from repro.obs import FleetObserver, NullObserver
 
@@ -166,8 +170,8 @@ class TestDisabledPaths:
     def test_obs_disables_native_kernel_gate(
         self, cluster_model, hash_tokenizer, hetero_specs, fleet_config
     ):
-        # the native sweep has no callbacks; an attached observer must
-        # force the byte-identical python sweep rather than lose events
+        # an attached observer no longer gates the native sweep off; it
+        # must still see every completion whichever sweep ran
         obs = FleetObserver()
         report = run_scenario_columnar(
             "steady", cluster_model, hash_tokenizer, hetero_specs,
@@ -176,3 +180,50 @@ class TestDisabledPaths:
         assert report.stats.completed > 0
         prom = obs.render_prometheus()
         assert f"repro_requests_completed_total {report.stats.completed}" in prom
+
+
+GRAY = ChaosPlan(
+    name="gray-replica-1",
+    grays=(GrayWindow(replica_id=1, start_ms=100.0, end_ms=400.0, slowdown=3.0),),
+)
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+class TestKernelTakesWatchedRuns:
+    """Observed, autoscaled and gray runs take the C kernel, byte-exactly.
+
+    The Python sweep is the reference: the kernel run must match it on
+    the report and on every stream, and it must not touch the Python
+    sweep at all.  The load is heavy enough to shed, scale up, migrate
+    off the failed replica and feel the gray window.
+    """
+
+    @pytest.mark.parametrize("shards", [1, 2, 5])
+    @pytest.mark.parametrize("gray", [False, True], ids=["healthy", "gray"])
+    @pytest.mark.parametrize("autoscaled", [False, True], ids=["fixed", "autoscale"])
+    @pytest.mark.parametrize("observed", [False, True], ids=["plain", "observed"])
+    def test_kernel_matches_python_sweep(
+        self, observed, autoscaled, gray, shards, monkeypatch,
+        cluster_model, hash_tokenizer, hetero_specs, fleet_config,
+    ):
+        def run(native):
+            obs = FleetObserver() if observed else None
+            report = run_scenario_columnar(
+                "flash-crowd", cluster_model, hash_tokenizer, hetero_specs,
+                fleet_config, native=native, obs=obs, shards=shards,
+                autoscale=AUTOSCALE if autoscaled else None,
+                scale_spec=hetero_specs[0] if autoscaled else None,
+                failures=FAILURES, chaos=GRAY if gray else None,
+                seed=2, rate_scale=8.0, duration_scale=2.0,
+            )
+            return report.to_json(), _streams(obs) if observed else None
+
+        reference = run(native=False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Python sweep ran with the kernel on")
+
+        monkeypatch.setattr(
+            ColumnarFleetEngine, "_run_arrivals_python", refuse
+        )
+        assert run(native=True) == reference

@@ -1,8 +1,10 @@
 """The tracer: Chrome trace-event export with canonical ordering."""
 
 import json
+import random
 
 from repro.obs import Tracer
+from repro.obs.tracing import _event_sort_key, sorted_events
 
 
 def test_span_units_are_microseconds():
@@ -66,3 +68,32 @@ def test_json_is_valid_and_stable():
     first = t.to_json()
     assert json.loads(first)["traceEvents"]
     assert t.to_json() == first
+
+
+def test_tied_sort_matches_full_key_sort():
+    # Events deliberately tied on all five cheap fields (ts, tid, ph,
+    # name, dur), differing only in args — plus exact duplicates — must
+    # come out in the order of the full six-field key sort.
+    t = Tracer()
+    for ts in (1.0, 2.0):
+        for tid in (0, 1):
+            for size in (8, 2, 4, 2):
+                t.add_span("batch", ts, 1.0, tid=tid, args={"size": size, "b": 16})
+                t.add_span("batch", ts, 1.0, tid=tid, args={"b": 16, "size": size})
+            t.add_instant("scale-up", ts, args={"replicas": 3})
+            t.add_instant("scale-up", ts, args={"replicas": 2})
+            t.add_instant("scale-up", ts)
+            t.add_counter("autoscaler", ts, {"utilization": 0.5})
+    t.add_thread_name(1, "replica-1")
+    t.add_thread_name(0, "replica-0")
+    events = list(t.events)
+    random.Random(0).shuffle(events)
+
+    def full_key(event):
+        args = json.dumps(event.get("args", {}), sort_keys=True)
+        return _event_sort_key(event) + (args,)
+
+    got = sorted_events(events)
+    want = sorted(events, key=full_key)
+    # identity, not equality: fully tied events keep their input order
+    assert [id(e) for e in got] == [id(e) for e in want]

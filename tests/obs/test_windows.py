@@ -265,3 +265,17 @@ class TestBulkPaths:
         batch.flush_all()
         scalar.flush_all()
         assert batch.lines == scalar.lines
+
+    def test_record_completion_columns_matches_scalar_loop(self):
+        finish = np.array([45.0, 7.0, 19.999, 20.0, 7.0, 45.0])
+        latency = np.array([4.0, 3.0, 0.5, 2.0, 1.0, 9.0])
+        met = latency <= 3.0
+        columns = WindowTracker(window_ms=20.0)
+        columns.record_completion_columns(finish, latency, met)
+        columns.record_completion_columns(finish[:0], latency[:0], met[:0])
+        scalar = WindowTracker(window_ms=20.0)
+        for f, l, m in zip(finish, latency, met):
+            scalar.record_completion(float(f), float(l), bool(m))
+        columns.flush_all()
+        scalar.flush_all()
+        assert columns.lines == scalar.lines

@@ -214,3 +214,25 @@ class TestHeterogeneousFleet:
         router.block_until(100.0)
         dispatch = router.dispatch(16, 2, ready_ms=0.0)
         assert dispatch.start_ms == 100.0
+
+
+class TestServiceTableMemo:
+    """service_table is memoized process-wide, read-only, and dropped by
+    the evaluation-cache cold-start hook."""
+
+    def test_memoized_read_only_and_cleared(self):
+        from repro.search import clear_evaluation_cache
+        from repro.serve.router import service_table
+
+        args = (BertConfig.tiny(), AcceleratorConfig(), ZCU102, [16, 32], 4)
+        first = service_table(*args)
+        assert service_table(*args) is first
+        assert service_table(BertConfig.tiny(), AcceleratorConfig(), ZCU102, (16, 32), 4) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 1] = 0.0
+        assert first.shape == (2, 5) and (first[:, 1:] > 0).all()
+        clear_evaluation_cache()
+        again = service_table(*args)
+        assert again is not first
+        assert (again == first).all()
