@@ -4,20 +4,21 @@ The columnar engine's hot loop — project, admit/shed, enqueue, flush —
 is a *sequential* decision process (each admission depends on the state
 the previous one left), so it cannot be vectorized as numpy whole-array
 ops without changing semantics.  It can, however, be compiled: this
-module carries a small C translation of the pure-Python sweep in
-:mod:`repro.fleet.columnar`, builds it once per process with the system
-C compiler, and loads it through :mod:`ctypes`.
+module carries a small C translation of the columnar engine's admission
+rule (``ColumnarFleetEngine._attempt`` with every resilience mechanism
+off), builds it once per process with the system C compiler, and loads
+it through :mod:`ctypes`.
 
 Bit-exactness contract: the C code performs the *same IEEE-754 double
-operations in the same order* as the Python sweep (which in turn mirrors
-the event-loop engine).  The build deliberately avoids every flag that
+operations in the same order* as that Python rule (which in turn
+mirrors the event-loop engine).  The build deliberately avoids every flag that
 would let the compiler reassociate or contract floating point
 (``-ffp-contract=off``, no ``-ffast-math``, no ``-march=native``), so
 x86-64 SSE2 / aarch64 doubles come out bit-identical to CPython's —
 a property the differential tests assert rather than assume.
 
 When no C compiler is available (or ``REPRO_COLUMNAR_NATIVE=0`` is set)
-the engine falls back to the pure-Python sweep; results are identical
+the engine runs the Python rule per arrival; results are identical
 either way, only wall-clock changes.  The reason is kept, compiler
 stderr included, and :func:`build_error` returns it.
 
@@ -176,7 +177,7 @@ static double global_next(const Sweep *s) {
 }
 
 /* The admission projection: minimum over live replicas, strict < keeping
- * the lowest index on ties (Fleet.submit's plain loop).  Shared by the
+ * the lowest index on ties (Fleet._attempt's loop).  Shared by the
  * per-arrival path and the shed-skip binary search so both evaluate the
  * byte-identical FP expression. */
 static double best_projection(const Sweep *s, double t, long long *best_out) {

@@ -270,9 +270,12 @@ def load_chaos_plan(path: str) -> ChaosPlan:
 class ResiliencePolicy:
     """Knobs of the fleet's answer to chaos.  Everything defaults off.
 
-    With every knob at its default, :attr:`enabled` is False and both
-    engines keep their untouched fast paths — the zero-cost-when-disabled
-    contract the fleet bench gates.
+    Both engines run every admission through one rule that reads this
+    policy; a run without one uses ``ResiliencePolicy()``.  With every
+    knob at its default, :attr:`enabled` is False and the rule does
+    exactly the plain admit-or-shed — so the columnar engine hands the
+    run to its C kernel, the zero-cost-when-disabled contract the fleet
+    bench gates.
     """
 
     # retry: re-attempt shed admissions after seeded backoff
@@ -348,7 +351,8 @@ class ResiliencePolicy:
 
     @property
     def enabled(self) -> bool:
-        """True iff any mechanism is active (the fast-path gate)."""
+        """True iff any mechanism is active (columnar runs leave the
+        C kernel for the per-arrival path)."""
         return bool(
             self.max_retries > 0
             or self.hedge

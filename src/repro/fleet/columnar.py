@@ -14,9 +14,9 @@ simulation over columns:
   (:func:`repro.serve.router.service_table`);
 - replica state is a handful of scalars and tiny per-bucket FIFOs;
 - the per-arrival decision sweep — project, admit or shed, enqueue,
-  flush — runs either as a tight pure-Python loop over local lists or as
-  a runtime-compiled C kernel (:mod:`repro.fleet._native`) that performs
-  the identical IEEE-754 operations in the identical order;
+  flush — runs in a runtime-compiled C kernel (:mod:`repro.fleet._native`)
+  or, for resilient runs and without a C compiler, in the one Python
+  admission rule; both do the same IEEE-754 operations in the same order;
 - every sweep logs its flushes as decision columns (replica, bucket,
   size, start, service, finish, and each completion's request and
   enqueue time), and one numpy post-pass turns them into observer
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
@@ -505,9 +506,7 @@ class _Accum:
         if self.rows:
             rows = np.array(self.rows, dtype=np.float64)
             reqs = np.array(self.requests, dtype=np.float64)
-            # cleared in place: sweeps bind these lists' methods locally
-            self.rows.clear()
-            self.requests.clear()
+            self.rows, self.requests = [], []
             log = _Batches.of(
                 rows[:, :4], rows[:, 4:], reqs[:, 0].astype(np.int64), reqs[:, 1]
             )
@@ -550,22 +549,22 @@ class ColumnarFleetEngine:
         self._bucket_value_col = np.asarray(self.bucket_values, dtype=np.int64)
         self.ref_idx = self.bucket_values.index(reference_bucket(policy.buckets))
         self.track_hist = prep.autoscale is not None
-        self.resilience = prep.resilience
-        self.resilient = (
-            prep.resilience is not None and prep.resilience.enabled
-        )
-        self._hedging = self.resilient and prep.resilience.hedge
-        # The per-arrival resilient path needs the live state from inside
-        # _flush (hedge cancellation, breaker telemetry); the engine
-        # stashes the current state here for the duration of a window.
+        # Every mechanism defaults off: a run without a policy takes the
+        # same admission rule with nothing enabled.
+        self.policy = prep.resilience or ResiliencePolicy()
+        # The per-arrival path needs the live state from inside _flush
+        # (hedge cancellation); the engine stashes the current state here
+        # for the duration of a window.
         self._cur_state: Optional[ColumnarFleetState] = None
         self._tables: Dict[Tuple[object, object], _DesignTables] = {}
         if use_native is None:
             use_native = _native.available()
-        # The C kernel takes every non-resilient sweep: gray windows are
-        # its per-replica slowdown, and observer records and autoscaler
-        # history come from the batch log's post-pass.
-        self.use_native = bool(use_native) and _native.available()
+        # The C kernel takes every sweep with no resilience mechanism on:
+        # gray windows are its per-replica slowdown, and observer records
+        # and autoscaler history come from the batch log's post-pass.
+        self.use_native = (
+            bool(use_native) and _native.available() and not self.policy.enabled
+        )
         # The batch log only has consumers when something watches.
         self._logging = self.obs is not None or self.track_hist
         # Global scratch for the native kernel (allocated lazily).
@@ -597,11 +596,10 @@ class ColumnarFleetEngine:
     # ------------------------------------------------------------------
     def initial_state(self) -> ColumnarFleetState:
         state = ColumnarFleetState()
-        policy = self.prep.resilience
-        if policy is not None:
-            state.budget = RetryBudget.from_policy(policy)
-            if policy.brownout:
-                state.brownout = BrownoutLadder.from_policy(policy)
+        policy = self.policy
+        state.budget = RetryBudget.from_policy(policy)
+        if policy.brownout:
+            state.brownout = BrownoutLadder.from_policy(policy)
         for spec in self.prep.specs:
             self._add_replica(state, spec, now=0.0, cold=False)
         # Autoscaler construction snapshots total busy time (zero at t=0).
@@ -623,9 +621,8 @@ class ColumnarFleetEngine:
             queues=[[] for _ in range(self.B)],
             seen=[False] * self.B,
         )
-        policy = self.prep.resilience
-        if policy is not None and policy.breaker:
-            rep.breaker = CircuitBreaker.from_policy(policy)
+        if self.policy.breaker:
+            rep.breaker = CircuitBreaker.from_policy(self.policy)
         state.next_id += 1
         state.replicas.append(rep)
         self._rebuild_live(state)
@@ -723,13 +720,13 @@ class ColumnarFleetEngine:
         if breaker is not None:
             transition = breaker.observe(
                 fin,
-                service > self.resilience.breaker_straggle_factor * nominal,
+                service > self.policy.breaker_straggle_factor * nominal,
             )
             # opens/closes roll up from the breakers at finalize (the
             # live counters the event loop keeps are the same sums).
             if transition is not None and self.obs is not None:
                 self.obs.on_breaker(rep.rid, fin, transition)
-        if self._hedging:
+        if self.policy.hedge:
             state = self._cur_state
             for idx, _enq in requests:
                 key = (rep.rid, idx)
@@ -849,7 +846,7 @@ class ColumnarFleetEngine:
         rep.next_dl = None
         evicted.sort(key=lambda e: e[1])  # stable, like evict_all
         replicas = state.replicas
-        hedging = self._hedging
+        hedging = self.policy.hedge
         for idx, _enq, b in evicted:
             if hedging:
                 twin = state.hedge.pop((rep.rid, idx), None)
@@ -981,12 +978,12 @@ class ColumnarFleetEngine:
     ) -> None:
         if hi <= lo:
             return
-        if self.resilient:
-            # The resilient admission path is inherently per-arrival
-            # (breaker probes, brownout hysteresis, retries racing the
-            # trace) — and even the no-live-replica case must route
-            # through it so sheds can become scheduled retries.
-            self._run_arrivals_resilient(state, lo, hi, acc)
+        if not self.use_native:
+            # Per-arrival admission: a resilience mechanism is on (breaker
+            # probes, brownout hysteresis and retries racing the trace
+            # need it) or there is no kernel.  Even the no-live-replica
+            # case routes through it so sheds can become scheduled retries.
+            self._run_arrivals_python(state, lo, hi, acc)
             self._post_pass(state, acc)
             return
         if not state.live:
@@ -994,10 +991,7 @@ class ColumnarFleetEngine:
             # with no queues there are no deadlines to fire (vectorized).
             shed, code = np.arange(lo, hi, dtype=np.int64), SHED_CODE_NO_CAPACITY
         else:
-            if self.use_native:
-                shed = self._run_arrivals_native(state, lo, hi, acc)
-            else:
-                shed = self._run_arrivals_python(state, lo, hi, acc)
+            shed = self._run_arrivals_native(state, lo, hi, acc)
             code = SHED_CODE_OVERLOAD
         if shed.shape[0]:
             acc.shed_parts.append(
@@ -1055,143 +1049,6 @@ class ColumnarFleetEngine:
                 log.offset, log.start, log.service, log.fin,
                 prep.arrival[log.idx], log.enq, prep.slo[log.idx],
             )
-
-    def _run_arrivals_python(
-        self, state: ColumnarFleetState, lo: int, hi: int, acc: _Accum
-    ) -> np.ndarray:
-        """The pure-Python sweep: exact event-loop semantics on local lists.
-
-        The reference the C kernel is tested against.  Returns the indices
-        it shed, ascending.
-        """
-        replicas = state.replicas
-        lreps = [replicas[rid] for rid in state.live]
-        L = len(lreps)
-        M = self.M
-        wait = self.wait
-        factor = self.factor
-        values = self.bucket_values
-        inf = math.inf
-        busy_until = [r.busy_until for r in lreps]
-        busy_ms = [r.busy_ms for r in lreps]
-        batches = [r.batches for r in lreps]
-        served = [r.requests for r in lreps]
-        queues = [r.queues for r in lreps]          # shared mutable lists
-        order = [r.order for r in lreps]            # shared mutable lists
-        seen = [r.seen for r in lreps]
-        next_dl = [inf if r.next_dl is None else r.next_dl for r in lreps]
-        price = [r.tables.price_full for r in lreps]
-        ref = [r.tables.ref_price for r in lreps]
-        svc = [r.tables.svc for r in lreps]
-        # Gray-window multipliers are control-event state: they can only
-        # change between sweeps, so a local snapshot is exact.
-        slows = [r.slowdown for r in lreps]
-        rids = [r.rid for r in lreps]
-        rows = acc.rows
-        logged = acc.requests
-        shed: List[int] = []
-
-        def flush(k: int, b: int, flush_ms: float) -> None:
-            queue = queues[k][b]
-            take = len(queue) if len(queue) < M else M
-            requests, queues[k][b] = queue[:take], queue[take:]
-            service = svc[k][b][take]
-            if slows[k] != 1.0:
-                service = service * slows[k]
-            bu = busy_until[k]
-            start = flush_ms if flush_ms > bu else bu
-            fin = start + service
-            busy_until[k] = fin
-            busy_ms[k] += service
-            batches[k] += 1
-            served[k] += take
-            rows.append((rids[k], b, take, len(logged), start, service, fin))
-            logged.extend(requests)
-            nd = inf
-            q_k = queues[k]
-            for b2 in order[k]:
-                q = q_k[b2]
-                if q:
-                    cand = q[0][1] + wait
-                    if cand < nd:
-                        nd = cand
-            next_dl[k] = nd
-
-        def fire_dues(k: int, now: float) -> None:
-            due = []
-            q_k = queues[k]
-            for b in order[k]:
-                q = q_k[b]
-                if q:
-                    deadline = q[0][1] + wait
-                    if deadline <= now:
-                        due.append((deadline, values[b], b))
-            due.sort()
-            for deadline, _, b in due:
-                flush(k, b, deadline)
-
-        g = min(next_dl) if next_dl else inf
-        step = 1 << 20
-        pos = lo
-        while pos < hi:
-            end = min(pos + step, hi)
-            ts = self.prep.arrival[pos:end].tolist()
-            bs = self.prep.bucket_idx[pos:end].tolist()
-            ss = self.prep.slo[pos:end].tolist()
-            for k2 in range(end - pos):
-                t = ts[k2]
-                if t >= g:
-                    for k in range(L):
-                        if next_dl[k] <= t:
-                            fire_dues(k, t)
-                    g = min(next_dl)
-                # admission projection, strict < keeps lowest id on ties
-                best = 0
-                bestp = 0.0
-                for k in range(L):
-                    backlog = busy_until[k] - t
-                    if backlog < 0.0:
-                        backlog = 0.0
-                    queued = 0.0
-                    price_k = price[k]
-                    q_k = queues[k]
-                    for b in order[k]:
-                        depth = len(q_k[b])
-                        if depth:
-                            queued += ((depth + M - 1) // M) * price_k[b]
-                    proj = backlog + queued + ref[k] + wait
-                    if k == 0 or proj < bestp:
-                        bestp = proj
-                        best = k
-                i = pos + k2
-                if bestp > factor * ss[k2]:
-                    shed.append(i)
-                    continue
-                b = bs[k2]
-                queue = queues[best][b]
-                queue.append((i, t))
-                if len(queue) == 1:
-                    if not seen[best][b]:
-                        seen[best][b] = True
-                        order[best].append(b)
-                    deadline = t + wait
-                    if deadline < next_dl[best]:
-                        next_dl[best] = deadline
-                        if deadline < g:
-                            g = deadline
-                if len(queue) >= M:
-                    flush(best, b, t)
-                    g = min(next_dl)
-            pos = end
-
-        for k, rep in enumerate(lreps):
-            rep.busy_until = busy_until[k]
-            rep.busy_ms = busy_ms[k]
-            rep.batches = batches[k]
-            rep.requests = served[k]
-            rep.next_dl = None if next_dl[k] == inf else next_dl[k]
-            rep.pending = sum(len(q) for q in queues[k])
-        return np.asarray(shed, dtype=np.int64)
 
     def _run_arrivals_native(
         self, state: ColumnarFleetState, lo: int, hi: int, acc: _Accum
@@ -1312,22 +1169,22 @@ class ColumnarFleetEngine:
         return np.flatnonzero(shed[lo:hi]).astype(np.int64, copy=False) + lo
 
     # ------------------------------------------------------------------
-    # resilient request path (chaos layer) — mirrors Fleet._attempt
+    # per-arrival request path — mirrors Fleet.submit / Fleet._attempt
     # ------------------------------------------------------------------
-    def _run_arrivals_resilient(
+    def _run_arrivals_python(
         self, state: ColumnarFleetState, lo: int, hi: int, acc: _Accum
     ) -> None:
-        """Per-arrival resilient sweep, retries interleaved on the clock.
+        """Per-arrival Python sweep, retries interleaved on the clock.
 
-        A retry due strictly before an arrival fires first; one due at
-        the same instant fires after every arrival of that instant —
-        the event loop's ``_ARRIVAL < _RETRY`` kind ordering.
+        The reference the C kernel is tested against.  A retry due
+        strictly before an arrival fires first; one due at the same
+        instant fires after every arrival of that instant — the event
+        loop's ``_ARRIVAL < _RETRY`` kind ordering.
         """
         arrival = self.prep.arrival
-        if self.obs is not None and hi > lo:
+        if self.obs is not None:
             self.obs.on_arrivals(arrival[lo:hi])
-        policy = self.prep.resilience
-        accrue = policy.max_retries > 0
+        accrue = self.policy.max_retries > 0
         budget = state.budget
         heap = state.retry_heap
         heappop = heapq.heappop
@@ -1341,11 +1198,11 @@ class ColumnarFleetEngine:
                 while heap and heap[0][0] < t:
                     due, _seq, idx, attempt = heappop(heap)
                     self._advance(state, due, acc)
-                    self._attempt_resilient(state, idx, attempt, due, acc)
+                    self._attempt(state, idx, attempt, due, acc)
                 self._advance(state, t, acc)
                 if accrue:
                     budget.accrue()
-                self._attempt_resilient(state, pos + k2, 0, t, acc)
+                self._attempt(state, pos + k2, 0, t, acc)
             pos = end
 
     def _fire_retries(
@@ -1366,9 +1223,9 @@ class ColumnarFleetEngine:
         while heap and (heap[0][0] <= limit if inclusive else heap[0][0] < limit):
             due, _seq, idx, attempt = heappop(heap)
             self._advance(state, due, acc)
-            self._attempt_resilient(state, idx, attempt, due, acc)
+            self._attempt(state, idx, attempt, due, acc)
 
-    def _attempt_resilient(
+    def _attempt(
         self,
         state: ColumnarFleetState,
         idx: int,
@@ -1377,7 +1234,7 @@ class ColumnarFleetEngine:
         acc: _Accum,
     ) -> None:
         """One admission attempt — the exact twin of ``Fleet._attempt``."""
-        policy = self.prep.resilience
+        policy = self.policy
         obs = self.obs
         replicas = state.replicas
         live = state.live
@@ -1480,7 +1337,7 @@ class ColumnarFleetEngine:
         code: int,
     ) -> None:
         """Schedule a backoff retry, or make the shed final."""
-        policy = self.prep.resilience
+        policy = self.policy
         if policy.max_retries > 0 and attempt < policy.max_retries:
             if state.budget.spend():
                 delay = backoff_delay_ms(policy, self.prep.seed, idx, attempt + 1)
@@ -1511,7 +1368,6 @@ class ColumnarFleetEngine:
         acc = _Accum()
         self._cur_state = state
         arrival = self.prep.arrival
-        resilient = self.resilient
         pos = alo
         for event in events:
             time_ms, kind = event[0], event[1]
@@ -1522,11 +1378,10 @@ class ColumnarFleetEngine:
             j = int(np.searchsorted(arrival[pos:ahi], time_ms, side=side)) + pos
             self._run_arrivals(state, pos, j, acc)
             pos = j
-            if resilient:
-                # Retries due before this event fire first; ones due *at*
-                # its instant precede only a tick (_RETRY < _TICK, but
-                # recover/gray/fail kinds < _RETRY).
-                self._fire_retries(state, acc, time_ms, inclusive=kind == _TICK)
+            # Retries due before this event fire first; ones due *at* its
+            # instant precede only a tick (_RETRY < _TICK, but
+            # recover/gray/fail kinds < _RETRY).
+            self._fire_retries(state, acc, time_ms, inclusive=kind == _TICK)
             self._advance(state, time_ms, acc)
             if kind == _TICK:
                 self._tick(state, time_ms, acc)
@@ -1695,15 +1550,20 @@ _WORKER_CTX: Optional[tuple] = None
 
 
 def _window_worker(conn, window_index: int) -> None:
-    engine, state, windows = _WORKER_CTX
-    alo, ahi, events = windows[window_index]
-    partial = engine.run_window(state, alo, ahi, events)
-    # Observability state crosses the fork like ShardPartial does: the
-    # worker drains its live buffers into a picklable partial; the parent
-    # absorbs.  (The parent drained its own live buffers before forking,
-    # so this partial holds exactly this window's records.)
-    obs_partial = engine.obs.take_partial() if engine.obs is not None else None
-    conn.send((partial, state, obs_partial))
+    """Run one window; send its result, or the formatted traceback."""
+    try:
+        engine, state, windows = _WORKER_CTX
+        alo, ahi, events = windows[window_index]
+        partial = engine.run_window(state, alo, ahi, events)
+        # Observability state crosses the fork like ShardPartial does: the
+        # worker drains its live buffers into a picklable partial; the
+        # parent absorbs.  (The parent drained its own live buffers before
+        # forking, so this partial holds exactly this window's records.)
+        obs_partial = engine.obs.take_partial() if engine.obs is not None else None
+        message = (partial, state, obs_partial)
+    except Exception:
+        message = traceback.format_exc()
+    conn.send(message)
     conn.close()
 
 
@@ -1738,12 +1598,18 @@ def _run_windows_in_processes(engine, state, windows):
         proc = ctx.Process(target=_window_worker, args=(child, k))
         proc.start()
         child.close()
-        partial, state, obs_partial = parent.recv()
+        try:
+            message = parent.recv()
+        except EOFError:  # the worker died before it could send anything
+            message = None
         parent.close()
         proc.join()
         _WORKER_CTX = None
-        if proc.exitcode != 0:
-            raise RuntimeError(f"shard worker {k} exited {proc.exitcode}")
+        if not isinstance(message, tuple) or proc.exitcode != 0:
+            if not isinstance(message, str):
+                message = f"exit code {proc.exitcode}"
+            raise RuntimeError(f"shard worker {k} failed: {message}")
+        partial, state, obs_partial = message
         if obs_partial is not None:
             engine.obs.absorb(obs_partial)
         partials.append(partial)
@@ -1797,18 +1663,20 @@ def run_scenario_columnar(
             crosses via pickle; sequential, determinism demo — see
             ``docs/scaling.md``).
         native: Force the C kernel on/off; default auto-detects.  Results
-            are identical either way.
+            are identical either way.  Runs with a resilience mechanism
+            on always take the per-arrival Python path.
         obs: Optional :class:`repro.obs.FleetObserver`.  Never changes a
             report byte; metric streams are byte-identical to the
             event-loop runner's at any shard count, on the C kernel or
-            the Python sweep alike.
+            the per-arrival Python path alike.
         chaos: Optional :class:`~repro.fleet.chaos.ChaosPlan` — same
             semantics as the event-loop runner's parameter (fail-stops,
             zone outages, gray windows).
         resilience: Optional :class:`~repro.fleet.chaos.ResiliencePolicy`
-            — enables the per-arrival resilient admission path (timeout,
-            breaker, brownout, retries, hedging), byte-identical to the
-            event loop's at any shard count.
+            (timeout, breaker, brownout, retries, hedging), byte-identical
+            to the event loop's at any shard count.  ``None`` means the
+            default policy, every mechanism off; either way the report
+            gains a ``chaos`` section only when a policy or plan is given.
 
     Returns:
         The :class:`FleetReport`.
@@ -1860,7 +1728,7 @@ def run_scenario_columnar(
                     # watermark back to it.
                     pending.append(state.retry_heap[0][0])
                 obs.advance(min([edge] + pending))
-    if engine.resilient:
+    if state.retry_heap:
         partials.append(engine.drain_retries(state))
     partials.append(engine.drain(state))
     report = engine.finalize(state, partials)

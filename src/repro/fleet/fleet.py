@@ -183,9 +183,9 @@ class Fleet:
             obs: Optional :class:`repro.obs.FleetObserver`; ``None`` (or a
                 falsy null sink) keeps every seam off the hot path.
             resilience: Optional :class:`~repro.fleet.chaos.ResiliencePolicy`
-                enabling the resilient admission path (:meth:`submit_resilient`).
-                ``None`` keeps :meth:`submit` the only request path and every
-                resilience seam off the hot loop.
+                for the admission path (:meth:`submit`).  ``None`` means the
+                default policy: every mechanism off, and no resilience seam
+                on the batch hook.
             seed: Run seed — only consumed by the deterministic retry
                 backoff hash, never by request routing.
 
@@ -198,18 +198,14 @@ class Fleet:
         self.tokenizer = tokenizer
         self.config = config
         self.obs = obs or None
-        self.resilience = resilience
+        self.resilience = resilience = resilience or ResiliencePolicy()
         self.seed = seed
         # Resilience counters (the report's chaos section; attached by the
         # driver only for chaos-aware runs).
         self.chaos = ChaosStats()
-        self._budget = (
-            RetryBudget.from_policy(resilience) if resilience is not None else None
-        )
+        self._budget = RetryBudget.from_policy(resilience)
         self._brownout = (
-            BrownoutLadder.from_policy(resilience)
-            if resilience is not None and resilience.brownout
-            else None
+            BrownoutLadder.from_policy(resilience) if resilience.brownout else None
         )
         # Backoff retries scheduled since the driver last drained them:
         # (due_ms, record, request, next_attempt).  The fleet cannot see
@@ -284,15 +280,13 @@ class Fleet:
         cold_ms = self.cold_start_ms(replica) if cold else 0.0
         if cold:
             engine.router.block_until(now_ms + cold_ms)
-        if self.resilience is not None and self.resilience.breaker:
+        if self.resilience.breaker:
             replica.breaker = CircuitBreaker.from_policy(self.resilience)
         self.replicas[replica.replica_id] = replica
         self._rebuild_live()
         if self.obs is not None:
             self.obs.on_replica(replica.replica_id, spec.label, now_ms, cold_ms)
-        if self.obs is not None or replica.breaker is not None or (
-            self.resilience is not None and self.resilience.hedge
-        ):
+        if self.obs is not None or replica.breaker is not None or self.resilience.hedge:
             self._install_batch_hook(replica)
         return replica
 
@@ -326,10 +320,8 @@ class Fleet:
         breaker = replica.breaker
         estimate = replica.engine.router.estimate_latency_ms
         policy = self.resilience
-        hedging = policy is not None and policy.hedge
-        straggle_factor = (
-            policy.breaker_straggle_factor if policy is not None else 0.0
-        )
+        hedging = policy.hedge
+        straggle_factor = policy.breaker_straggle_factor
         chaos = self.chaos
 
         def hook(requests, dispatch, bucket, size):
@@ -582,68 +574,6 @@ class Fleet:
                 queued += ((depth + max_batch - 1) // max_batch) * prices[bucket]
         return backlog + queued + prices[self._ref_bucket] + policy.max_wait_ms
 
-    def submit(self, request: FleetRequest) -> RequestRecord:
-        """Route one arrival: admit to the best replica, or shed.
-
-        Args:
-            request: The arriving request (its ``arrival_ms`` must be at or
-                after the fleet clock; call :meth:`advance` first).
-
-        Returns:
-            The request's :class:`RequestRecord` (``shed`` set if rejected).
-
-        Note:
-            Arrival-window recording is the *driver's* job — the event-loop
-            runner and the columnar sweep both bulk-record arrival times
-            upfront (the trace is known before the loop starts), so submit
-            itself only records sheds.
-        """
-        now_ms = request.arrival_ms
-        obs = self.obs
-        record = RequestRecord(
-            index=len(self.records),
-            tenant=request.tenant,
-            slo_ms=request.slo_ms,
-            arrival_ms=now_ms,
-        )
-        self.records.append(record)
-        live = self._live
-        if not live:
-            record.shed = True
-            record.shed_reason = SHED_NO_CAPACITY
-            if obs is not None:
-                obs.on_shed(now_ms, SHED_NO_CAPACITY)
-            return record
-        # Plain loop instead of min() over a generator of tuples: this runs
-        # once per arrival, and a strict < keeps the first (lowest-id)
-        # replica on ties — the same order the tuple key produced.
-        projected_of = self.projected_latency_ms
-        best = live[0]
-        projected = projected_of(best, now_ms)
-        for candidate in live[1:]:
-            challenger = projected_of(candidate, now_ms)
-            if challenger < projected:
-                projected = challenger
-                best = candidate
-        if projected > self.config.admit_slo_factor * request.slo_ms:
-            record.shed = True
-            record.shed_reason = SHED_OVERLOAD
-            if obs is not None:
-                obs.on_shed(now_ms, SHED_OVERLOAD)
-            return record
-        # Map the engine-local id before submitting: a full batch flushes
-        # inside submit, and the observability hook resolves fleet records
-        # for every request in the executed batch — including this one.
-        best.record_of[best.engine._next_id] = record
-        best.engine.submit(request.text_a, request.text_b, arrival_ms=now_ms)
-        record.replica_id = best.replica_id
-        if self.min_accepted_slo_ms is None or request.slo_ms < self.min_accepted_slo_ms:
-            self.min_accepted_slo_ms = request.slo_ms
-        return record
-
-    # ------------------------------------------------------------------
-    # resilient request path (chaos layer)
-    # ------------------------------------------------------------------
     def set_slowdown(self, replica_id: int, slowdown: float) -> None:
         """Enter/leave a gray window: stretch one replica's realized service.
 
@@ -665,20 +595,35 @@ class Fleet:
 
         The runner owns the event heap, so the fleet hands scheduled
         backoff retries back as ``(due_ms, record, request, attempt)``
-        tuples for re-entry as timed events.
+        tuples for re-entry as timed events.  The runner drains after
+        every event, so the common empty drain allocates nothing.
         """
         out = self._retry_out
-        self._retry_out = []
+        if out:
+            self._retry_out = []
         return out
 
-    def submit_resilient(self, request: FleetRequest) -> RequestRecord:
-        """Route one arrival through the resilient admission path.
+    def submit(self, request: FleetRequest) -> RequestRecord:
+        """Route one arrival: admit to the best replica, or shed.
 
-        The chaos-aware sibling of :meth:`submit`: same record bookkeeping
-        and routing rule, plus (in order) circuit-breaker filtering,
-        timeout fail-fast, brownout degradation of the admission bound,
-        hedging of risky admissions, and scheduling of backoff retries
-        instead of final sheds while attempts remain.
+        The resilience policy adds, in order and only where enabled,
+        circuit-breaker filtering, timeout fail-fast, brownout degradation
+        of the admission bound, hedging of risky admissions, and backoff
+        retries instead of final sheds while attempts remain.
+
+        Args:
+            request: The arriving request (its ``arrival_ms`` must be at or
+                after the fleet clock; call :meth:`advance` first).
+
+        Returns:
+            The request's :class:`RequestRecord` (``shed`` set if rejected
+            for good; a scheduled retry leaves it unset for now).
+
+        Note:
+            Arrival-window recording is the *driver's* job — the event-loop
+            runner and the columnar sweep both bulk-record arrival times
+            upfront (the trace is known before the loop starts), so submit
+            itself only records sheds.
         """
         now_ms = request.arrival_ms
         record = RequestRecord(
@@ -688,8 +633,7 @@ class Fleet:
             arrival_ms=now_ms,
         )
         self.records.append(record)
-        policy = self.resilience
-        if self._budget is not None and policy.max_retries > 0:
+        if self.resilience.max_retries > 0:
             self._budget.accrue()
         self._attempt(record, request, 0, now_ms)
         return record
@@ -728,8 +672,7 @@ class Fleet:
         else:
             candidates = live
         # Best and runner-up by projection, strict < keeping the lowest id
-        # on ties — identical to submit's rule, plus the second-best
-        # tracking the hedge needs.
+        # on ties; the runner-up is the hedge target.
         projected_of = self.projected_latency_ms
         best = candidates[0]
         projected = projected_of(best, now_ms)
@@ -782,6 +725,9 @@ class Fleet:
             if projected > bound:
                 self._shed_or_retry(record, request, attempt, now_ms, SHED_OVERLOAD)
                 return
+        # Map the engine-local id before submitting: a full batch flushes
+        # inside submit, and the batch hook resolves fleet records for
+        # every request in the executed batch — including this one.
         engine_rid = best.engine._next_id
         best.record_of[engine_rid] = record
         best.engine.submit(request.text_a, request.text_b, arrival_ms=now_ms)
@@ -825,7 +771,7 @@ class Fleet:
         ``(seed, record.index, attempt + 1)``.
         """
         policy = self.resilience
-        if policy is not None and policy.max_retries > 0 and attempt < policy.max_retries:
+        if policy.max_retries > 0 and attempt < policy.max_retries:
             if self._budget.spend():
                 delay = backoff_delay_ms(policy, self.seed, record.index, attempt + 1)
                 self.chaos.retries += 1

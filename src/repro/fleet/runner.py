@@ -187,12 +187,11 @@ def run_scenario(
             fail-stop and zone-outage events are appended after any
             explicit ``failures``; its gray windows stretch the named
             replica's realized service times over ``[start, end)``.
-        resilience: Optional :class:`~repro.fleet.chaos.ResiliencePolicy`.
-            When given, arrivals go through the resilient admission path
+        resilience: Optional :class:`~repro.fleet.chaos.ResiliencePolicy`
             (timeout fail-fast, circuit breaker, brownout ladder, retries
-            with seeded backoff, hedging) and the report gains a ``chaos``
-            stats section.  ``None`` keeps the plain fast path and the
-            report's historical bytes.
+            with seeded backoff, hedging).  When given, the report gains
+            a ``chaos`` stats section.  ``None`` means the default policy,
+            every mechanism off, and keeps the report's historical bytes.
 
     Returns:
         The :class:`FleetReport` (deterministic for equal arguments).
@@ -265,9 +264,8 @@ def run_scenario(
     heappop = heapq.heappop
     heappush = heapq.heappush
     advance = fleet.advance
-    resilient = resilience is not None and resilience.enabled
-    submit = fleet.submit_resilient if resilient else fleet.submit
-    take_retries = fleet.take_retries if resilient else None
+    submit = fleet.submit
+    take_retries = fleet.take_retries
     while events:
         time_ms, kind, _, payload = heappop(events)
         advance(time_ms)
@@ -288,13 +286,12 @@ def run_scenario(
             fleet.set_slowdown(payload, 1.0)
         else:  # _RECOVER
             fleet.recover_replica(payload, time_ms)
-        if take_retries is not None:
-            # Failed admissions scheduled a backoff retry: re-enter the
-            # event stream as first-class timed events so retries race
-            # arrivals/ticks/failures on the shared simulated clock.
-            for retry_ms, record, request, attempt in take_retries():
-                heappush(events, (retry_ms, _RETRY, seq, (record, request, attempt)))
-                seq += 1
+        # Failed admissions that scheduled a backoff retry re-enter the
+        # event stream as first-class timed events, so retries race
+        # arrivals/ticks/failures on the shared simulated clock.
+        for retry_ms, record, request, attempt in take_retries():
+            heappush(events, (retry_ms, _RETRY, seq, (record, request, attempt)))
+            seq += 1
         if obs is not None and kind != _ARRIVAL:
             # Watermark-safe: fleet.advance(time_ms) already fired every
             # batching deadline <= time_ms, so no future record can land

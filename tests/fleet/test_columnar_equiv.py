@@ -4,8 +4,9 @@ The columnar engine's whole contract is *byte-identical* reports — not
 statistically close, identical.  Every test here renders both engines'
 reports to their stable JSON and human-readable forms and compares the
 bytes, across every scenario class x {autoscale on/off, failures on/off},
-across the pure-Python sweep and the runtime-compiled C kernel, and
-across every input form the runner accepts.
+across the per-arrival Python path (the columnar engine's one Python
+admission rule) and the runtime-compiled C kernel, and across every
+input form the runner accepts.
 """
 
 import pytest
@@ -71,7 +72,7 @@ class TestScenarioMatrix:
 
 
 class TestSweepImplementations:
-    """The C kernel and the pure-Python sweep are the same function."""
+    """The C kernel and the per-arrival Python path are the same function."""
 
     def test_python_sweep_matches_event_loop(
         self, cluster_model, hash_tokenizer, hetero_specs, fleet_config

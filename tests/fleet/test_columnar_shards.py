@@ -9,6 +9,8 @@ through shard counts 1, 2, 5, and 7; the merge layer's bookkeeping
 (drop / double-count detection, empty merges) is pinned directly.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +23,7 @@ from repro.fleet import (
     merge_shard_partials,
     run_scenario_columnar,
 )
-from repro.fleet.columnar import shard_windows, _prepare
+from repro.fleet.columnar import ColumnarFleetEngine, shard_windows, _prepare
 
 SHARD_COUNTS = (1, 2, 5, 7)
 
@@ -149,6 +151,36 @@ class TestShardInvariance:
             shard_processes=True,
         )
         assert forked.to_json() == in_process.to_json()
+
+    def _run_forked(self, cluster_model, hash_tokenizer, weak_spec, fleet_config):
+        return run_scenario_columnar(
+            "steady", cluster_model, hash_tokenizer, [weak_spec] * 2,
+            fleet_config, seed=6, rate_scale=0.5, shards=3,
+            shard_processes=True,
+        )
+
+    def test_worker_error_surfaces(
+        self, monkeypatch, cluster_model, hash_tokenizer, weak_spec, fleet_config
+    ):
+        def explode(self, state, alo, ahi, events):
+            raise ValueError("window exploded")
+
+        monkeypatch.setattr(ColumnarFleetEngine, "run_window", explode)
+        with pytest.raises(
+            RuntimeError,
+            match=r"(?s)shard worker 0 failed:.*ValueError: window exploded",
+        ):
+            self._run_forked(cluster_model, hash_tokenizer, weak_spec, fleet_config)
+
+    def test_worker_exit_surfaces(
+        self, monkeypatch, cluster_model, hash_tokenizer, weak_spec, fleet_config
+    ):
+        def die(self, state, alo, ahi, events):
+            os._exit(3)
+
+        monkeypatch.setattr(ColumnarFleetEngine, "run_window", die)
+        with pytest.raises(RuntimeError, match="shard worker 0 failed: exit code 3"):
+            self._run_forked(cluster_model, hash_tokenizer, weak_spec, fleet_config)
 
 
 class TestMergeShardPartials:

@@ -192,9 +192,9 @@ GRAY = ChaosPlan(
 class TestKernelTakesWatchedRuns:
     """Observed, autoscaled and gray runs take the C kernel, byte-exactly.
 
-    The Python sweep is the reference: the kernel run must match it on
-    the report and on every stream, and it must not touch the Python
-    sweep at all.  The load is heavy enough to shed, scale up, migrate
+    The per-arrival Python path is the reference: the kernel run must
+    match it on the report and on every stream, and it must not touch
+    the Python path at all.  The load is heavy enough to shed, scale up, migrate
     off the failed replica and feel the gray window.
     """
 
