@@ -40,6 +40,8 @@ from .chaos import (
     ResiliencePolicy,
     RetryBudget,
     SHED_BREAKER,
+    SHED_NO_CAPACITY,
+    SHED_OVERLOAD,
     SHED_TIMEOUT,
     ZoneOutage,
     backoff_delay_ms,
@@ -60,8 +62,6 @@ from .fleet import (
     Replica,
     ReplicaSpec,
     RequestRecord,
-    SHED_NO_CAPACITY,
-    SHED_OVERLOAD,
 )
 from .metrics import (
     FleetStats,
@@ -92,6 +92,8 @@ __all__ = [
     "ResiliencePolicy",
     "RetryBudget",
     "SHED_BREAKER",
+    "SHED_NO_CAPACITY",
+    "SHED_OVERLOAD",
     "SHED_TIMEOUT",
     "ZoneOutage",
     "backoff_delay_ms",
@@ -109,8 +111,6 @@ __all__ = [
     "Replica",
     "ReplicaSpec",
     "RequestRecord",
-    "SHED_NO_CAPACITY",
-    "SHED_OVERLOAD",
     "FleetStats",
     "ReplicaStats",
     "TenantStats",

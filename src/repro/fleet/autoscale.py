@@ -27,7 +27,7 @@ replica and migrates its queue, so shrinking never drops accepted work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..serve.metrics import percentile
 from .fleet import Fleet, Replica, ReplicaSpec
@@ -59,6 +59,52 @@ class AutoscalePolicy:
             raise ValueError(f"slo_headroom must be > 0, got {self.slo_headroom}")
         if self.cooldown_ticks < 0:
             raise ValueError(f"cooldown_ticks must be >= 0, got {self.cooldown_ticks}")
+
+    def decide(
+        self,
+        cooldown: int,
+        utilization: float,
+        p99_ratio: float,
+        depth: int,
+        live: int,
+        batch: int,
+    ) -> Tuple[int, Optional[str], str]:
+        """One tick's scaling decision, the rule both fleet engines call.
+
+        Args:
+            cooldown: Quiet ticks still owed from the last action.
+            utilization: Busy fraction of live capacity over the window.
+            p99_ratio: Window p99 latency over the tightest accepted SLO.
+            depth: Requests queued on live replicas.
+            live: Live replica count.
+            batch: The serving config's ``max_batch_size``.
+
+        Returns:
+            ``(cooldown, action, reason)``: the cooldown to carry into the
+            next tick, and :data:`SCALE_UP`, :data:`SCALE_DOWN` or ``None``
+            with the audit-trail reason.
+        """
+        if cooldown > 0:
+            return cooldown - 1, None, ""
+        reason = None
+        if live < self.max_replicas:
+            if utilization > self.utilization_high:
+                reason = f"utilization {utilization:.2f} > {self.utilization_high:.2f}"
+            elif p99_ratio > self.slo_headroom:
+                reason = f"p99 {p99_ratio:.2f}x SLO > {self.slo_headroom:.2f}x"
+            elif depth > live * batch:
+                reason = f"queue depth {depth} > {live * batch}"
+            if reason is not None:
+                return self.cooldown_ticks, SCALE_UP, reason
+        if (
+            live > self.min_replicas
+            and utilization < self.utilization_low
+            and p99_ratio <= 1.0
+            and depth == 0
+        ):
+            reason = f"utilization {utilization:.2f} < {self.utilization_low:.2f}"
+            return self.cooldown_ticks, SCALE_DOWN, reason
+        return 0, None, ""
 
 
 @dataclass(frozen=True)
@@ -178,42 +224,21 @@ class Autoscaler:
         self._last_tick_ms = now_ms
         self._busy_snapshot = self._total_busy_ms()
 
-        if self._cooldown > 0:
-            self._cooldown -= 1
+        self._cooldown, action, reason = self.policy.decide(
+            self._cooldown, utilization, p99_ratio, depth, live,
+            self.fleet.config.serving.max_batch_size,
+        )
+        if action is None:
             return None
-
-        policy = self.policy
-        batch = self.fleet.config.serving.max_batch_size
-        event: Optional[ScaleEvent] = None
-        if live < policy.max_replicas and (
-            utilization > policy.utilization_high
-            or p99_ratio > policy.slo_headroom
-            or depth > live * batch
-        ):
-            if utilization > policy.utilization_high:
-                reason = f"utilization {utilization:.2f} > {policy.utilization_high:.2f}"
-            elif p99_ratio > policy.slo_headroom:
-                reason = f"p99 {p99_ratio:.2f}x SLO > {policy.slo_headroom:.2f}x"
-            else:
-                reason = f"queue depth {depth} > {live * batch}"
+        if action == SCALE_UP:
             self.fleet.add_replica(self.scale_spec, now_ms=now_ms, cold=True)
-            event = ScaleEvent(now_ms, SCALE_UP, reason, live + 1)
-        elif live > policy.min_replicas and (
-            utilization < policy.utilization_low and p99_ratio <= 1.0 and depth == 0
-        ):
+        else:
             victim = self._scale_down_victim()
             self.fleet.remove_replica(victim.replica_id, now_ms=now_ms)
-            event = ScaleEvent(
-                now_ms,
-                SCALE_DOWN,
-                f"utilization {utilization:.2f} < {policy.utilization_low:.2f}",
-                live - 1,
-            )
-        if event is not None:
-            self.events.append(event)
-            self._cooldown = policy.cooldown_ticks
-            if self.obs is not None:
-                self.obs.on_scale(event)
+        event = ScaleEvent(now_ms, action, reason, len(self.fleet.live_replicas()))
+        self.events.append(event)
+        if self.obs is not None:
+            self.obs.on_scale(event)
         return event
 
     def _scale_down_victim(self) -> Replica:

@@ -20,8 +20,9 @@ Two halves, deliberately separate:
 
 Everything here is engine-neutral: the event-loop fleet
 (:mod:`repro.fleet.fleet`) and the columnar engine
-(:mod:`repro.fleet.columnar`) share these exact objects and the pure
-:func:`backoff_delay_ms` so every chaos primitive replays
+(:mod:`repro.fleet.columnar`) share these exact objects, and both make
+every admission through :func:`admit` and every shed-or-retry choice
+through :func:`retry_delay`, so every chaos primitive replays
 byte-identically in both.  The determinism contract: equal
 ``(policy, seed, request index, attempt)`` always yields the same
 delay; breaker and brownout transitions depend only on the simulated
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BrownoutLadder",
@@ -44,13 +45,26 @@ __all__ = [
     "ResiliencePolicy",
     "RetryBudget",
     "ZoneOutage",
+    "admit",
     "backoff_delay_ms",
     "chaos_plan_from_dict",
     "load_chaos_plan",
+    "retry_delay",
 ]
 
-SHED_BREAKER = "breaker-open"   # every live replica's breaker is open
-SHED_TIMEOUT = "timeout"        # projected latency beyond the request timeout
+# Shed reasons, and their codes in the columnar engine's shed column
+# (0 = completed).
+SHED_OVERLOAD = "overload"          # projected latency beyond the admit bound
+SHED_NO_CAPACITY = "no-capacity"    # no live replica at all
+SHED_BREAKER = "breaker-open"       # every live replica's breaker is open
+SHED_TIMEOUT = "timeout"            # projected latency beyond the request timeout
+SHED_REASON_OF_CODE = {
+    1: SHED_OVERLOAD,
+    2: SHED_NO_CAPACITY,
+    3: SHED_BREAKER,
+    4: SHED_TIMEOUT,
+}
+SHED_CODE_OF_REASON = {reason: code for code, reason in SHED_REASON_OF_CODE.items()}
 
 
 def _require_finite(name: str, value: float, minimum: Optional[float] = None) -> float:
@@ -400,6 +414,32 @@ def backoff_delay_ms(
     return base * (1.0 + policy.backoff_jitter * uniform)
 
 
+def retry_delay(
+    policy: ResiliencePolicy,
+    budget: "RetryBudget",
+    chaos: "ChaosStats",
+    seed: int,
+    index: int,
+    attempt: int,
+) -> Optional[float]:
+    """Retry or final shed, for one shed admission attempt of both engines.
+
+    A retry needs attempts left *and* a budget token; the delay is
+    :func:`backoff_delay_ms` of ``(seed, index, attempt + 1)``.  Counts
+    ``chaos.retries`` or ``chaos.retry_budget_exhausted``.
+
+    Returns:
+        The backoff delay in simulated ms, or ``None`` when the shed is
+        final.
+    """
+    if policy.max_retries > 0 and attempt < policy.max_retries:
+        if budget.spend():
+            chaos.retries += 1
+            return backoff_delay_ms(policy, seed, index, attempt + 1)
+        chaos.retry_budget_exhausted += 1
+    return None
+
+
 @dataclass
 class RetryBudget:
     """A token bucket bounding retry amplification.
@@ -553,12 +593,41 @@ class BrownoutLadder:
     dwell_ms: float = 50.0
     level: int = 0
     last_change_ms: float = 0.0
-    escalations: int = 0
-    deescalations: int = 0
 
     @classmethod
     def from_policy(cls, policy: ResiliencePolicy) -> "BrownoutLadder":
         return cls(levels=policy.brownout_levels, dwell_ms=policy.brownout_dwell_ms)
+
+    def step(
+        self, projected: float, base: float, now_ms: float, chaos: "ChaosStats", obs
+    ) -> float:
+        """Move the ladder for one admission; returns its admission bound.
+
+        De-escalates at most one level, behind the dwell hysteresis, then
+        escalates as far as ``projected`` needs.  Every step is counted in
+        ``chaos`` and reported to ``obs`` (``None`` when unobserved).
+        """
+        levels = self.levels
+        if (
+            self.level > 0
+            and now_ms - self.last_change_ms >= self.dwell_ms
+            and projected <= base * levels[self.level - 1]
+        ):
+            self.level -= 1
+            self.last_change_ms = now_ms
+            chaos.brownout_deescalations += 1
+            if obs is not None:
+                obs.on_brownout(now_ms, self.level)
+        bound = base * levels[self.level]
+        top = len(levels) - 1
+        while projected > bound and self.level < top:
+            self.level += 1
+            self.last_change_ms = now_ms
+            chaos.brownout_escalations += 1
+            if obs is not None:
+                obs.on_brownout(now_ms, self.level)
+            bound = base * levels[self.level]
+        return bound
 
 
 @dataclass
@@ -606,3 +675,84 @@ class ChaosStats:
             "brownout_escalations": self.brownout_escalations,
             "brownout_deescalations": self.brownout_deescalations,
         }
+
+
+def admit(
+    policy: ResiliencePolicy,
+    live: Sequence,
+    project: Callable,
+    now_ms: float,
+    slo_ms: float,
+    factor: float,
+    ladder: Optional[BrownoutLadder],
+    chaos: ChaosStats,
+    obs,
+) -> Tuple[Optional[str], object, object]:
+    """One admission decision, the rule both fleet engines call.
+
+    In order: drop replicas whose circuit breaker is open (in id order,
+    so lazy open -> half-open moves land identically in both engines);
+    rank best and runner-up by projection, a strict ``<`` keeping the
+    lowest id on ties; fail fast past ``policy.timeout_ms``; step the
+    brownout ladder; shed past the overload bound ``factor x slo_ms``.
+
+    Args:
+        policy: The run's resilience policy.
+        live: Live replicas in id order; each has ``replica_id`` and
+            ``breaker`` attributes.
+        project: ``project(replica, now_ms)``, the engine's projected
+            completion latency of one more request on that replica.
+        now_ms: The attempt's simulated time.
+        slo_ms: The request's SLO.
+        factor: The fleet's ``admit_slo_factor``.
+        ladder: The run's brownout ladder, or ``None`` without brownout.
+        chaos: The run's counters (timeouts, brownout steps).
+        obs: The observer, or ``None``.
+
+    Returns:
+        ``(reason, best, hedge_to)``: a shed reason and two ``None`` on a
+        shed; else ``None``, the replica to admit to, and the runner-up
+        to hedge onto — ``None`` unless the policy hedges and the
+        projection exceeds ``hedge_factor x slo_ms``.
+    """
+    if not live:
+        return SHED_NO_CAPACITY, None, None
+    if policy.breaker:
+        candidates = []
+        for replica in live:
+            breaker = replica.breaker
+            before = breaker.state
+            ok = breaker.allows(now_ms)
+            if breaker.state is not before and obs is not None:
+                obs.on_breaker(replica.replica_id, now_ms, breaker.state)
+            if ok:
+                candidates.append(replica)
+        if not candidates:
+            return SHED_BREAKER, None, None
+    else:
+        candidates = live
+    best = candidates[0]
+    projected = project(best, now_ms)
+    second = None
+    second_proj = math.inf
+    for candidate in candidates[1:]:
+        challenger = project(candidate, now_ms)
+        if challenger < projected:
+            second = best
+            second_proj = projected
+            best = candidate
+            projected = challenger
+        elif challenger < second_proj:
+            second = candidate
+            second_proj = challenger
+    if policy.timeout_ms is not None and projected > policy.timeout_ms:
+        chaos.timeouts += 1
+        return SHED_TIMEOUT, None, None
+    bound = factor * slo_ms
+    if ladder is not None:
+        bound = ladder.step(projected, bound, now_ms, chaos, obs)
+    if projected > bound:
+        return SHED_OVERLOAD, None, None
+    if policy.hedge and projected > policy.hedge_factor * slo_ms:
+        return None, best, second
+    return None, best, None

@@ -15,24 +15,28 @@ simulation over columns:
 - replica state is a handful of scalars and tiny per-bucket FIFOs;
 - the per-arrival decision sweep — project, admit or shed, enqueue,
   flush — runs in a runtime-compiled C kernel (:mod:`repro.fleet._native`)
-  or, for resilient runs and without a C compiler, in the one Python
-  admission rule; both do the same IEEE-754 operations in the same order;
+  or, for resilient runs and without a C compiler, per arrival through
+  the admission rule the event loop calls too; both do the same IEEE-754
+  operations in the same order;
 - every sweep logs its flushes as decision columns (replica, bucket,
   size, start, service, finish, and each completion's request and
   enqueue time), and one numpy post-pass turns them into observer
   records, autoscaler latency history and the tightest accepted SLO —
   so observed, autoscaled and gray runs take the C kernel as well.
 
-**Exactness.** The sweep replicates the event-loop engine decision for
-decision: admission projections accumulate queued-batch prices in bucket
-first-use order, routing keeps the lowest-id replica on ties via a
-strict ``<``, deadline flushes fire in ``(deadline, bucket)`` order with
-the deadline as flush time, autoscaler signals read the same windows and
-format the same reason strings, failovers migrate queues in enqueue
-order.  Because every floating-point operation has the same operands in
-the same order, reports are *byte-identical* to the event-loop analytic
-(and therefore executed) mode — a property the differential test suite
-asserts across every scenario class.
+**Exactness.** Both engines make each policy decision in one shared
+function: admission in :func:`repro.fleet.chaos.admit`, retry or final
+shed in :func:`repro.fleet.chaos.retry_delay`, scaling in
+:meth:`repro.fleet.autoscale.AutoscalePolicy.decide` (the C kernel is
+``admit`` with every mechanism off, compiled).  What this module keeps
+is its own state layout and the signals it feeds them: admission
+projections accumulate queued-batch prices in bucket first-use order,
+deadline flushes fire in ``(deadline, bucket)`` order with the deadline
+as flush time, autoscaler signals read the same windows, failovers
+migrate queues in enqueue order.  Because every floating-point operation
+has the same operands in the same order, reports are *byte-identical* to
+the event-loop analytic (and therefore executed) mode — a property the
+differential test suite asserts across every scenario class.
 
 **Sharding.** A trace can be split on time boundaries into shards that
 run independently and hand a compact, picklable
@@ -57,10 +61,12 @@ import numpy as np
 
 from ..serve.metrics import percentile
 from ..serve.router import service_table
-from .autoscale import SCALE_DOWN, SCALE_UP, AutoscalePolicy, ScaleEvent
+from .autoscale import SCALE_UP, AutoscalePolicy, ScaleEvent
 from .chaos import (
-    SHED_BREAKER,
-    SHED_TIMEOUT,
+    SHED_CODE_OF_REASON,
+    SHED_NO_CAPACITY,
+    SHED_OVERLOAD,
+    SHED_REASON_OF_CODE,
     BrownoutLadder,
     ChaosPlan,
     ChaosStats,
@@ -68,15 +74,10 @@ from .chaos import (
     GrayWindow,
     ResiliencePolicy,
     RetryBudget,
-    backoff_delay_ms,
+    admit,
+    retry_delay,
 )
-from .fleet import (
-    SHED_NO_CAPACITY,
-    SHED_OVERLOAD,
-    FleetConfig,
-    ReplicaSpec,
-    reference_bucket,
-)
+from .fleet import FleetConfig, ReplicaSpec, reference_bucket
 from .metrics import build_fleet_stats_columns, build_replica_stats
 from .runner import (
     _ARRIVAL,
@@ -97,18 +98,6 @@ from .scenarios import (
     builtin_scenarios,
 )
 from . import _native
-
-# Shed codes in the completion columns (0 = completed).
-SHED_CODE_OVERLOAD = 1
-SHED_CODE_NO_CAPACITY = 2
-SHED_CODE_BREAKER = 3
-SHED_CODE_TIMEOUT = 4
-SHED_REASON_OF_CODE = {
-    SHED_CODE_OVERLOAD: SHED_OVERLOAD,
-    SHED_CODE_NO_CAPACITY: SHED_NO_CAPACITY,
-    SHED_CODE_BREAKER: SHED_BREAKER,
-    SHED_CODE_TIMEOUT: SHED_TIMEOUT,
-}
 
 # Arrivals per C-kernel call: the kernel's completion and batch logs are
 # sized by one call, so this bounds their memory on any trace.
@@ -137,7 +126,7 @@ class _DesignTables:
 class _Rep:
     """One replica's complete simulation state (picklable)."""
 
-    rid: int
+    replica_id: int
     spec: ReplicaSpec
     tables: _DesignTables
     added_ms: float
@@ -149,11 +138,11 @@ class _Rep:
     retired_ms: Optional[float] = None
     failures: int = 0
     downtime_ms: float = 0.0
-    # down because of a fail-stop (vs scaled away) — recover guard,
-    # mirroring Replica.failed
+    # down because of a fail-stop (vs scaled away) — the recover guard,
+    # as Replica.failed
     failed: bool = False
-    # gray-window service multiplier (DeviceRouter.slowdown's twin);
-    # 1.0 costs no float op
+    # gray-window service multiplier (as DeviceRouter.slowdown); 1.0
+    # costs no float op
     slowdown: float = 1.0
     # per-replica straggle detector when the resilience policy enables it
     breaker: Optional[CircuitBreaker] = None
@@ -172,7 +161,7 @@ class ColumnarFleetState:
     """Everything a shard hands to the next one (compact, picklable)."""
 
     replicas: List[_Rep] = field(default_factory=list)
-    live: List[int] = field(default_factory=list)
+    live: List[_Rep] = field(default_factory=list)    # id order
     next_id: int = 0
     now: float = 0.0
     min_slo: Optional[float] = None
@@ -528,7 +517,11 @@ class _Accum:
 
 
 class ColumnarFleetEngine:
-    """The columnar twin of :class:`~repro.fleet.fleet.Fleet` + runner."""
+    """:class:`~repro.fleet.fleet.Fleet` + runner over columnar state.
+
+    Its decisions come from the functions the event loop calls; only the
+    state they read and the way a decision is applied are its own.
+    """
 
     def __init__(
         self,
@@ -557,14 +550,16 @@ class ColumnarFleetEngine:
         # for the duration of a window.
         self._cur_state: Optional[ColumnarFleetState] = None
         self._tables: Dict[Tuple[object, object], _DesignTables] = {}
-        if use_native is None:
-            use_native = _native.available()
         # The C kernel takes every sweep with no resilience mechanism on:
         # gray windows are its per-replica slowdown, and observer records
         # and autoscaler history come from the batch log's post-pass.
         self.use_native = (
-            bool(use_native) and _native.available() and not self.policy.enabled
-        )
+            _native.available() if use_native is None else bool(use_native)
+        ) and not self.policy.enabled
+        if self.use_native and not _native.available():
+            raise RuntimeError(
+                f"native=True but the C kernel is unavailable: {_native.build_error()}"
+            )
         # The batch log only has consumers when something watches.
         self._logging = self.obs is not None or self.track_hist
         # Global scratch for the native kernel (allocated lazily).
@@ -592,7 +587,7 @@ class ColumnarFleetEngine:
         return tables
 
     # ------------------------------------------------------------------
-    # state lifecycle (mirrors Fleet.add/fail/recover/remove)
+    # state lifecycle (Fleet.add/fail/recover/remove on _Rep state)
     # ------------------------------------------------------------------
     def initial_state(self) -> ColumnarFleetState:
         state = ColumnarFleetState()
@@ -611,7 +606,7 @@ class ColumnarFleetEngine:
     ) -> _Rep:
         tables = self.tables_for(spec)
         rep = _Rep(
-            rid=state.next_id,
+            replica_id=state.next_id,
             spec=spec,
             tables=tables,
             added_ms=now,
@@ -628,13 +623,13 @@ class ColumnarFleetEngine:
         self._rebuild_live(state)
         if self.obs is not None:
             self.obs.on_replica(
-                rep.rid, spec.label, now, tables.cold_ms if cold else 0.0
+                rep.replica_id, spec.label, now, tables.cold_ms if cold else 0.0
             )
         return rep
 
     @staticmethod
     def _rebuild_live(state: ColumnarFleetState) -> None:
-        state.live = [r.rid for r in state.replicas if r.live]
+        state.live = [r for r in state.replicas if r.live]
 
     def _fail(self, state: ColumnarFleetState, rid: int, now: float, acc: _Accum):
         rep = state.replicas[rid] if rid < len(state.replicas) else None
@@ -646,7 +641,7 @@ class ColumnarFleetEngine:
         rep.failed = True
         self._rebuild_live(state)
         if self.obs is not None:
-            self.obs.on_failure(rep.rid, now)
+            self.obs.on_failure(rep.replica_id, now)
         self._migrate(state, rep, now, acc)
 
     def _recover(self, state: ColumnarFleetState, rid: int, now: float):
@@ -661,7 +656,7 @@ class ColumnarFleetEngine:
         cold = rep.tables.cold_ms
         rep.busy_until = max(rep.busy_until, now + cold)
         if self.obs is not None:
-            self.obs.on_recovery(rep.rid, now, cold)
+            self.obs.on_recovery(rep.replica_id, now, cold)
         rep.live = True
         if rep.retired_ms is not None:
             rep.downtime_ms += now - rep.retired_ms
@@ -675,7 +670,7 @@ class ColumnarFleetEngine:
         self._migrate(state, rep, now, acc)
 
     # ------------------------------------------------------------------
-    # per-replica primitives (mirror DynamicBatcher + engine dispatch)
+    # per-replica primitives (DynamicBatcher + engine dispatch on _Rep state)
     # ------------------------------------------------------------------
     def _projection(self, rep: _Rep, now: float) -> float:
         backlog = rep.busy_until - now
@@ -710,7 +705,7 @@ class ColumnarFleetEngine:
         # Completions, observer records and autoscaler history all come
         # from this row in the post-pass.
         acc.rows.append(
-            (rep.rid, b, take, len(acc.requests), start, service, fin)
+            (rep.replica_id, b, take, len(acc.requests), start, service, fin)
         )
         acc.requests.extend(requests)
         # Same consumer order as Fleet._install_batch_hook: circuit
@@ -725,11 +720,11 @@ class ColumnarFleetEngine:
             # opens/closes roll up from the breakers at finalize (the
             # live counters the event loop keeps are the same sums).
             if transition is not None and self.obs is not None:
-                self.obs.on_breaker(rep.rid, fin, transition)
+                self.obs.on_breaker(rep.replica_id, fin, transition)
         if self.policy.hedge:
             state = self._cur_state
             for idx, _enq in requests:
-                key = (rep.rid, idx)
+                key = (rep.replica_id, idx)
                 twin = state.hedge.pop(key, None)
                 if twin is None:
                     continue
@@ -799,7 +794,7 @@ class ColumnarFleetEngine:
     ) -> bool:
         """Enqueue one request; returns True when it flushed on the spot.
 
-        The return value mirrors the event loop's ``engine_rid not in
+        The return value answers the event loop's ``engine_rid not in
         engine.results`` probe after submit: a full batch flushes inside
         the enqueue and executes the request immediately (hedging only
         duplicates requests that are still queued).
@@ -821,8 +816,7 @@ class ColumnarFleetEngine:
 
     def _advance(self, state: ColumnarFleetState, now: float, acc: _Accum) -> None:
         """``Fleet.advance``: fire due deadlines on live replicas, id order."""
-        for rid in state.live:
-            rep = state.replicas[rid]
+        for rep in state.live:
             if rep.next_dl is not None and rep.next_dl <= now:
                 self._fire_dues(rep, now, acc)
         if now > state.now:
@@ -845,36 +839,30 @@ class ColumnarFleetEngine:
         rep.pending = 0
         rep.next_dl = None
         evicted.sort(key=lambda e: e[1])  # stable, like evict_all
-        replicas = state.replicas
         hedging = self.policy.hedge
         for idx, _enq, b in evicted:
             if hedging:
-                twin = state.hedge.pop((rep.rid, idx), None)
+                twin = state.hedge.pop((rep.replica_id, idx), None)
                 if twin is not None:
                     # One copy of a hedged pair was queued here; the twin
                     # (still queued elsewhere) carries the request alone —
                     # drop this copy instead of migrating it, exactly like
                     # Fleet._migrate_pending.
                     del state.hedge[(twin[0], idx)]
-                    state.hedge_primary.discard((rep.rid, idx))
+                    state.hedge_primary.discard((rep.replica_id, idx))
                     state.hedge_primary.discard((twin[0], idx))
                     continue
             survivors = state.live
             if not survivors:
                 acc.shed_idx_py.append(idx)
-                acc.shed_code_py.append(SHED_CODE_NO_CAPACITY)
+                acc.shed_code_py.append(SHED_CODE_OF_REASON[SHED_NO_CAPACITY])
                 if self.obs is not None:
                     # Bucketed at migration time, like Fleet._migrate_pending.
                     self.obs.on_shed(now, SHED_NO_CAPACITY)
                 continue
-            best = None
-            best_key = None
-            for rid in survivors:
-                candidate = replicas[rid]
-                key = (self._projection(candidate, now), rid)
-                if best is None or key < best_key:
-                    best = candidate
-                    best_key = key
+            best = min(
+                survivors, key=lambda r: (self._projection(r, now), r.replica_id)
+            )
             # engine.submit fires the target's due deadlines at `now`
             # before enqueueing (matters when max_wait_ms == 0).
             self._fire_dues(best, now, acc)
@@ -882,18 +870,16 @@ class ColumnarFleetEngine:
             state.migrations += 1
 
     # ------------------------------------------------------------------
-    # autoscaler tick (mirrors Autoscaler.tick)
+    # autoscaler tick: gather the signals, AutoscalePolicy.decide, apply
     # ------------------------------------------------------------------
     def _tick(self, state: ColumnarFleetState, now: float, acc: _Accum) -> None:
         # Batches flushed since the last sweep (deadlines due at this
         # instant, retries) must reach the latency history first.
         self._post_pass(state, acc)
-        policy = self.prep.autoscale
-        replicas = state.replicas
         live_n = len(state.live)
         window = now - state.last_tick
         total_busy = 0.0
-        for rep in replicas:  # creation order == id order, like _total_busy_ms
+        for rep in state.replicas:  # creation order == id order, like _total_busy_ms
             total_busy += rep.busy_ms
         if window <= 0 or live_n == 0:
             utilization = 0.0
@@ -917,8 +903,8 @@ class ColumnarFleetEngine:
             floor = state.min_slo
             p99_ratio = 0.0 if not floor else percentile(samples, 99) / floor
         depth = 0
-        for rid in state.live:
-            depth += replicas[rid].pending
+        for rep in state.live:
+            depth += rep.pending
         if self.obs is not None:
             # Same floats as Autoscaler.tick: busy/window accounting and the
             # sorted-percentile p99 are order-insensitive, so the counter
@@ -927,48 +913,21 @@ class ColumnarFleetEngine:
         state.last_tick = now
         state.busy_snapshot = total_busy
 
-        if state.cooldown > 0:
-            state.cooldown -= 1
+        state.cooldown, action, reason = self.prep.autoscale.decide(
+            state.cooldown, utilization, p99_ratio, depth, live_n, self.M
+        )
+        if action is None:
             return
-        batch = self.M
-        event: Optional[ScaleEvent] = None
-        if live_n < policy.max_replicas and (
-            utilization > policy.utilization_high
-            or p99_ratio > policy.slo_headroom
-            or depth > live_n * batch
-        ):
-            if utilization > policy.utilization_high:
-                reason = (
-                    f"utilization {utilization:.2f} > {policy.utilization_high:.2f}"
-                )
-            elif p99_ratio > policy.slo_headroom:
-                reason = f"p99 {p99_ratio:.2f}x SLO > {policy.slo_headroom:.2f}x"
-            else:
-                reason = f"queue depth {depth} > {live_n * batch}"
-            scale_spec = self.prep.scale_spec or replicas[0].spec
+        if action == SCALE_UP:
+            scale_spec = self.prep.scale_spec or state.replicas[0].spec
             self._add_replica(state, scale_spec, now=now, cold=True)
-            event = ScaleEvent(now, SCALE_UP, reason, live_n + 1)
-        elif live_n > policy.min_replicas and (
-            utilization < policy.utilization_low
-            and p99_ratio <= 1.0
-            and depth == 0
-        ):
-            victim = min(
-                (replicas[rid] for rid in state.live),
-                key=lambda r: (r.pending, -r.rid),
-            )
+        else:
+            victim = min(state.live, key=lambda r: (r.pending, -r.replica_id))
             self._remove(state, victim, now, acc)
-            event = ScaleEvent(
-                now,
-                SCALE_DOWN,
-                f"utilization {utilization:.2f} < {policy.utilization_low:.2f}",
-                live_n - 1,
-            )
-        if event is not None:
-            state.events.append(event)
-            state.cooldown = policy.cooldown_ticks
-            if self.obs is not None:
-                self.obs.on_scale(event)
+        event = ScaleEvent(now, action, reason, len(state.live))
+        state.events.append(event)
+        if self.obs is not None:
+            self.obs.on_scale(event)
 
     # ------------------------------------------------------------------
     # arrival sweeps
@@ -989,16 +948,17 @@ class ColumnarFleetEngine:
         if not state.live:
             # No live replica: every arrival sheds with no-capacity, and
             # with no queues there are no deadlines to fire (vectorized).
-            shed, code = np.arange(lo, hi, dtype=np.int64), SHED_CODE_NO_CAPACITY
+            shed, reason = np.arange(lo, hi, dtype=np.int64), SHED_NO_CAPACITY
         else:
             shed = self._run_arrivals_native(state, lo, hi, acc)
-            code = SHED_CODE_OVERLOAD
+            reason = SHED_OVERLOAD
         if shed.shape[0]:
-            acc.shed_parts.append(
-                (shed, np.full(shed.shape[0], code, dtype=np.uint8))
-            )
+            acc.shed_parts.append((
+                shed,
+                np.full(shed.shape[0], SHED_CODE_OF_REASON[reason], dtype=np.uint8),
+            ))
         state.now = max(state.now, float(self.prep.arrival[hi - 1]))
-        self._post_pass(state, acc, (lo, hi, shed, code))
+        self._post_pass(state, acc, (lo, hi, shed, reason))
 
     def _post_pass(
         self, state: ColumnarFleetState, acc: _Accum, sweep: Optional[tuple] = None
@@ -1008,7 +968,7 @@ class ColumnarFleetEngine:
         The one place flushed batches become observer records (batch
         spans with the worst-request critical path, completions and
         SLO-met counts) and autoscaler latency history.  Given an arrival
-        sweep's ``(lo, hi, shed indices, shed code)`` it also records the
+        sweep's ``(lo, hi, shed indices, shed reason)`` it also records the
         span's arrivals and sheds and folds its accepted SLOs into
         ``min_slo``.  It runs at the end of every arrival sweep, before
         every tick and before a window's partial leaves, so each consumer
@@ -1021,11 +981,11 @@ class ColumnarFleetEngine:
         obs = self.obs
         prep = self.prep
         if sweep is not None:
-            lo, hi, shed, code = sweep
+            lo, hi, shed, reason = sweep
             if obs is not None:
                 obs.on_arrivals(prep.arrival[lo:hi])
                 if shed.shape[0]:
-                    obs.on_sheds(prep.arrival[shed], SHED_REASON_OF_CODE[code])
+                    obs.on_sheds(prep.arrival[shed], reason)
             if self.track_hist:
                 # min_accepted_slo only feeds the autoscaler's p99 floor.
                 # The event loop's running min over admissions equals the
@@ -1061,8 +1021,7 @@ class ColumnarFleetEngine:
         when nothing reads them.  Returns the indices it shed, ascending.
         """
         lib = _native.load()
-        replicas = state.replicas
-        lreps = [replicas[rid] for rid in state.live]
+        lreps = state.live
         L = len(lreps)
         B = self.B
         M = self.M
@@ -1119,7 +1078,7 @@ class ColumnarFleetEngine:
         log_ints = np.empty((cap, 4), dtype=np.int32) if logging else None
         log_times = np.empty((cap, 3), dtype=np.float64) if logging else None
         counts = np.zeros(2, dtype=np.int64)
-        rids = np.array([r.rid for r in lreps], dtype=np.int64)
+        rids = np.array([r.replica_id for r in lreps], dtype=np.int64)
 
         written = 0
         pos = lo
@@ -1169,7 +1128,7 @@ class ColumnarFleetEngine:
         return np.flatnonzero(shed[lo:hi]).astype(np.int64, copy=False) + lo
 
     # ------------------------------------------------------------------
-    # per-arrival request path — mirrors Fleet.submit / Fleet._attempt
+    # per-arrival request path: Fleet.submit's loop around chaos.admit
     # ------------------------------------------------------------------
     def _run_arrivals_python(
         self, state: ColumnarFleetState, lo: int, hi: int, acc: _Accum
@@ -1233,126 +1192,47 @@ class ColumnarFleetEngine:
         now: float,
         acc: _Accum,
     ) -> None:
-        """One admission attempt — the exact twin of ``Fleet._attempt``."""
+        """One admission attempt, decided by :func:`~repro.fleet.chaos.admit`.
+
+        A shed becomes a backoff retry while
+        :func:`~repro.fleet.chaos.retry_delay` grants one.
+        """
         policy = self.policy
-        obs = self.obs
-        replicas = state.replicas
-        live = state.live
-        if not live:
-            self._shed_or_retry(state, idx, attempt, now, acc, SHED_CODE_NO_CAPACITY)
+        # One SLO for the whole trace skips the numpy gather, as in the kernel.
+        slo = self.prep.uniform_slo or float(self.prep.slo[idx])
+        reason, best, hedge_to = admit(
+            policy, state.live, self._projection, now, slo, self.factor,
+            state.brownout, state.chaos, self.obs,
+        )
+        if reason is not None:
+            delay = retry_delay(
+                policy, state.budget, state.chaos, self.prep.seed, idx, attempt
+            )
+            if delay is not None:
+                heapq.heappush(
+                    state.retry_heap, (now + delay, state.retry_seq, idx, attempt + 1)
+                )
+                state.retry_seq += 1
+                return
+            acc.shed_idx_py.append(idx)
+            acc.shed_code_py.append(SHED_CODE_OF_REASON[reason])
+            if self.obs is not None:
+                self.obs.on_shed(now, reason)
             return
-        if policy.breaker:
-            candidates = []
-            for rid in live:
-                rep = replicas[rid]
-                breaker = rep.breaker
-                before = breaker.state
-                ok = breaker.allows(now)
-                if breaker.state is not before and obs is not None:
-                    obs.on_breaker(rid, now, breaker.state)
-                if ok:
-                    candidates.append(rep)
-            if not candidates:
-                self._shed_or_retry(state, idx, attempt, now, acc, SHED_CODE_BREAKER)
-                return
-        else:
-            candidates = [replicas[rid] for rid in live]
-        best = candidates[0]
-        projected = self._projection(best, now)
-        second: Optional[_Rep] = None
-        second_proj = math.inf
-        for rep in candidates[1:]:
-            challenger = self._projection(rep, now)
-            if challenger < projected:
-                second = best
-                second_proj = projected
-                best = rep
-                projected = challenger
-            elif challenger < second_proj:
-                second = rep
-                second_proj = challenger
-        if policy.timeout_ms is not None and projected > policy.timeout_ms:
-            state.chaos.timeouts += 1
-            self._shed_or_retry(state, idx, attempt, now, acc, SHED_CODE_TIMEOUT)
-            return
-        slo = float(self.prep.slo[idx])
-        base = self.factor * slo
-        ladder = state.brownout
-        if ladder is None:
-            if projected > base:
-                self._shed_or_retry(state, idx, attempt, now, acc, SHED_CODE_OVERLOAD)
-                return
-        else:
-            if (
-                ladder.level > 0
-                and now - ladder.last_change_ms >= ladder.dwell_ms
-                and projected <= base * ladder.levels[ladder.level - 1]
-            ):
-                ladder.level -= 1
-                ladder.last_change_ms = now
-                ladder.deescalations += 1
-                state.chaos.brownout_deescalations += 1
-                if obs is not None:
-                    obs.on_brownout(now, ladder.level)
-            bound = base * ladder.levels[ladder.level]
-            top = len(ladder.levels) - 1
-            while projected > bound and ladder.level < top:
-                ladder.level += 1
-                ladder.last_change_ms = now
-                ladder.escalations += 1
-                state.chaos.brownout_escalations += 1
-                if obs is not None:
-                    obs.on_brownout(now, ladder.level)
-                bound = base * ladder.levels[ladder.level]
-            if projected > bound:
-                self._shed_or_retry(state, idx, attempt, now, acc, SHED_CODE_OVERLOAD)
-                return
         b = int(self.prep.bucket_idx[idx])
         flushed = self._enqueue(best, b, idx, now, acc)
         if self.track_hist and (state.min_slo is None or slo < state.min_slo):
             state.min_slo = slo
-        if (
-            policy.hedge
-            and second is not None
-            and projected > policy.hedge_factor * slo
-            and not flushed
-        ):
+        if hedge_to is not None and not flushed:
             # Bookkeeping before the twin enqueue: the twin itself may
             # flush immediately and win on the spot (cancelling the
             # still-queued primary through _flush).
-            primary_key = (best.rid, idx)
-            state.hedge[primary_key] = (second.rid, b)
-            state.hedge[(second.rid, idx)] = (best.rid, b)
+            primary_key = (best.replica_id, idx)
+            state.hedge[primary_key] = (hedge_to.replica_id, b)
+            state.hedge[(hedge_to.replica_id, idx)] = (best.replica_id, b)
             state.hedge_primary.add(primary_key)
             state.chaos.hedges += 1
-            self._enqueue(second, b, idx, now, acc)
-
-    def _shed_or_retry(
-        self,
-        state: ColumnarFleetState,
-        idx: int,
-        attempt: int,
-        now: float,
-        acc: _Accum,
-        code: int,
-    ) -> None:
-        """Schedule a backoff retry, or make the shed final."""
-        policy = self.policy
-        if policy.max_retries > 0 and attempt < policy.max_retries:
-            if state.budget.spend():
-                delay = backoff_delay_ms(policy, self.prep.seed, idx, attempt + 1)
-                state.chaos.retries += 1
-                heapq.heappush(
-                    state.retry_heap,
-                    (now + delay, state.retry_seq, idx, attempt + 1),
-                )
-                state.retry_seq += 1
-                return
-            state.chaos.retry_budget_exhausted += 1
-        acc.shed_idx_py.append(idx)
-        acc.shed_code_py.append(code)
-        if self.obs is not None:
-            self.obs.on_shed(now, SHED_REASON_OF_CODE[code])
+            self._enqueue(hedge_to, b, idx, now, acc)
 
     # ------------------------------------------------------------------
     # windows, drain, report
@@ -1460,7 +1340,7 @@ class ColumnarFleetEngine:
         duration = max(prep.duration_ms, last_finish)
         replica_rows = [
             build_replica_stats(
-                rep.rid,
+                rep.replica_id,
                 rep.spec.label,
                 rep.added_ms,
                 rep.retired_ms,
@@ -1635,12 +1515,12 @@ def run_scenario_columnar(
     chaos: Optional[ChaosPlan] = None,
     resilience: Optional[ResiliencePolicy] = None,
 ) -> FleetReport:
-    """Columnar twin of :func:`repro.fleet.runner.run_scenario`.
+    """Run one scenario on the columnar engine.
 
-    Same arguments, same report — byte-identical ``render()`` and
-    ``to_json()`` output for equal inputs (the differential suite pins
-    this against the event-loop analytic engine on every scenario
-    class).  The model's weights are never touched: the columnar engine
+    Same arguments as :func:`repro.fleet.runner.run_scenario`, same
+    report — byte-identical ``render()`` and ``to_json()`` output for
+    equal inputs (the differential suite pins this against the
+    event-loop analytic engine on every scenario class).  The model's weights are never touched: the columnar engine
     is inherently analytic, pricing every batch from the accelerator
     simulator's memoized schedule, exactly like ``analytic=True``.
 
@@ -1680,6 +1560,11 @@ def run_scenario_columnar(
 
     Returns:
         The :class:`FleetReport`.
+
+    Raises:
+        RuntimeError: If ``native=True`` asks for the C kernel on a run
+            without a resilience mechanism and the kernel cannot be
+            built; the message carries :func:`repro.fleet._native.build_error`.
     """
     obs = obs or None
     grays: Sequence[GrayWindow] = ()

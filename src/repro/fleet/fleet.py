@@ -44,19 +44,16 @@ from ..accel.devices import FpgaDevice, ZCU102
 from ..serve.engine import ServingConfig, ServingEngine
 from .chaos import (
     BREAKER_OPEN,
-    SHED_BREAKER,
-    SHED_TIMEOUT,
+    SHED_NO_CAPACITY,
     BrownoutLadder,
     ChaosStats,
     CircuitBreaker,
     ResiliencePolicy,
     RetryBudget,
-    backoff_delay_ms,
+    admit,
+    retry_delay,
 )
 from .scenarios import FleetRequest
-
-SHED_OVERLOAD = "overload"          # projected latency beyond the admit bound
-SHED_NO_CAPACITY = "no-capacity"    # no live replica at all
 
 
 def reference_bucket(buckets: Tuple[int, ...]) -> int:
@@ -646,85 +643,29 @@ class Fleet:
     def _attempt(
         self, record: RequestRecord, request: FleetRequest, attempt: int, now_ms: float
     ) -> None:
-        """One admission attempt; sheds become retries while attempts remain."""
-        policy = self.resilience
-        obs = self.obs
-        live = self._live
-        if not live:
-            self._shed_or_retry(record, request, attempt, now_ms, SHED_NO_CAPACITY)
+        """One admission attempt, decided by :func:`~repro.fleet.chaos.admit`.
+
+        A shed becomes a backoff retry while
+        :func:`~repro.fleet.chaos.retry_delay` grants one.
+        """
+        reason, best, hedge_to = admit(
+            self.resilience, self._live, self.projected_latency_ms, now_ms,
+            record.slo_ms, self.config.admit_slo_factor, self._brownout,
+            self.chaos, self.obs,
+        )
+        if reason is not None:
+            delay = retry_delay(
+                self.resilience, self._budget, self.chaos, self.seed,
+                record.index, attempt,
+            )
+            if delay is not None:
+                self._retry_out.append((now_ms + delay, record, request, attempt + 1))
+                return
+            record.shed = True
+            record.shed_reason = reason
+            if self.obs is not None:
+                self.obs.on_shed(now_ms, reason)
             return
-        # Circuit-breaker filter, in replica-id order (the same order both
-        # engines mutate breaker state in, so lazy open -> half-open
-        # transitions land identically).
-        if policy.breaker:
-            candidates = []
-            for replica in live:
-                breaker = replica.breaker
-                before = breaker.state
-                ok = breaker.allows(now_ms)
-                if breaker.state is not before and obs is not None:
-                    obs.on_breaker(replica.replica_id, now_ms, breaker.state)
-                if ok:
-                    candidates.append(replica)
-            if not candidates:
-                self._shed_or_retry(record, request, attempt, now_ms, SHED_BREAKER)
-                return
-        else:
-            candidates = live
-        # Best and runner-up by projection, strict < keeping the lowest id
-        # on ties; the runner-up is the hedge target.
-        projected_of = self.projected_latency_ms
-        best = candidates[0]
-        projected = projected_of(best, now_ms)
-        second: Optional[Replica] = None
-        second_proj = float("inf")
-        for candidate in candidates[1:]:
-            challenger = projected_of(candidate, now_ms)
-            if challenger < projected:
-                second = best
-                second_proj = projected
-                best = candidate
-                projected = challenger
-            elif challenger < second_proj:
-                second = candidate
-                second_proj = challenger
-        if policy.timeout_ms is not None and projected > policy.timeout_ms:
-            self.chaos.timeouts += 1
-            self._shed_or_retry(record, request, attempt, now_ms, SHED_TIMEOUT)
-            return
-        base = self.config.admit_slo_factor * record.slo_ms
-        ladder = self._brownout
-        if ladder is None:
-            if projected > base:
-                self._shed_or_retry(record, request, attempt, now_ms, SHED_OVERLOAD)
-                return
-        else:
-            # De-escalate at most one level per admission, behind dwell
-            # hysteresis; escalate as far as needed (shed only at the top).
-            if (
-                ladder.level > 0
-                and now_ms - ladder.last_change_ms >= ladder.dwell_ms
-                and projected <= base * ladder.levels[ladder.level - 1]
-            ):
-                ladder.level -= 1
-                ladder.last_change_ms = now_ms
-                ladder.deescalations += 1
-                self.chaos.brownout_deescalations += 1
-                if obs is not None:
-                    obs.on_brownout(now_ms, ladder.level)
-            bound = base * ladder.levels[ladder.level]
-            top = len(ladder.levels) - 1
-            while projected > bound and ladder.level < top:
-                ladder.level += 1
-                ladder.last_change_ms = now_ms
-                ladder.escalations += 1
-                self.chaos.brownout_escalations += 1
-                if obs is not None:
-                    obs.on_brownout(now_ms, ladder.level)
-                bound = base * ladder.levels[ladder.level]
-            if projected > bound:
-                self._shed_or_retry(record, request, attempt, now_ms, SHED_OVERLOAD)
-                return
         # Map the engine-local id before submitting: a full batch flushes
         # inside submit, and the batch hook resolves fleet records for
         # every request in the executed batch — including this one.
@@ -734,54 +675,21 @@ class Fleet:
         record.replica_id = best.replica_id
         if self.min_accepted_slo_ms is None or record.slo_ms < self.min_accepted_slo_ms:
             self.min_accepted_slo_ms = record.slo_ms
-        if (
-            policy.hedge
-            and second is not None
-            and projected > policy.hedge_factor * record.slo_ms
-            and engine_rid not in best.engine.results
-        ):
+        if hedge_to is not None and engine_rid not in best.engine.results:
             # The primary copy is still queued (its enqueue did not flush a
             # full batch), so duplicate onto the runner-up; whichever copy
             # executes first cancels the other via the batch hook.  All
             # hedge bookkeeping is installed *before* the twin submit —
             # the twin itself may flush immediately and win on the spot.
-            twin_engine_rid = second.engine._next_id
+            twin_engine_rid = hedge_to.engine._next_id
             primary_key = (best.replica_id, engine_rid)
-            twin_key = (second.replica_id, twin_engine_rid)
+            twin_key = (hedge_to.replica_id, twin_engine_rid)
             self._hedge_twin[primary_key] = twin_key
             self._hedge_twin[twin_key] = primary_key
             self._hedge_primary.add(primary_key)
-            second.record_of[twin_engine_rid] = record
+            hedge_to.record_of[twin_engine_rid] = record
             self.chaos.hedges += 1
-            second.engine.submit(request.text_a, request.text_b, arrival_ms=now_ms)
-
-    def _shed_or_retry(
-        self,
-        record: RequestRecord,
-        request: FleetRequest,
-        attempt: int,
-        now_ms: float,
-        reason: str,
-    ) -> None:
-        """Schedule a backoff retry, or make the shed final.
-
-        A retry is scheduled only while attempts remain *and* the retry
-        budget grants a token; the deterministic delay comes from
-        :func:`~repro.fleet.chaos.backoff_delay_ms` on
-        ``(seed, record.index, attempt + 1)``.
-        """
-        policy = self.resilience
-        if policy.max_retries > 0 and attempt < policy.max_retries:
-            if self._budget.spend():
-                delay = backoff_delay_ms(policy, self.seed, record.index, attempt + 1)
-                self.chaos.retries += 1
-                self._retry_out.append((now_ms + delay, record, request, attempt + 1))
-                return
-            self.chaos.retry_budget_exhausted += 1
-        record.shed = True
-        record.shed_reason = reason
-        if self.obs is not None:
-            self.obs.on_shed(now_ms, reason)
+            hedge_to.engine.submit(request.text_a, request.text_b, arrival_ms=now_ms)
 
     def _migrate_pending(self, replica: Replica, now_ms: float) -> None:
         """Move a dead/draining replica's queued requests to the survivors.

@@ -296,7 +296,11 @@ def run_scenario(
             # Watermark-safe: fleet.advance(time_ms) already fired every
             # batching deadline <= time_ms, so no future record can land
             # at or before this instant — windows ending here are final.
-            obs.advance(time_ms)
+            # Capped at the horizon: obs.finalize closes windows through
+            # the report's duration and the last record only, so a control
+            # event past the trace's end (a late fail or gray end) must
+            # not close empty windows beyond them.
+            obs.advance(min(time_ms, duration_ms))
 
     fleet.drain()
     records = fleet.collect()

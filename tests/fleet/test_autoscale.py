@@ -20,6 +20,29 @@ class TestPolicyValidation:
             AutoscalePolicy(utilization_low=0.9, utilization_high=0.8)
 
 
+class TestDecide:
+    """``AutoscalePolicy.decide``: the one scaling rule of both engines."""
+
+    POLICY = AutoscalePolicy(min_replicas=1, max_replicas=3, cooldown_ticks=2)
+
+    def test_scale_up_reasons_in_priority_order(self):
+        decide = self.POLICY.decide
+        assert decide(0, 0.9, 2.0, 99, 2, 8) == (2, "up", "utilization 0.90 > 0.80")
+        assert decide(0, 0.5, 2.0, 99, 2, 8) == (2, "up", "p99 2.00x SLO > 1.00x")
+        assert decide(0, 0.5, 0.5, 17, 2, 8) == (2, "up", "queue depth 17 > 16")
+
+    def test_scale_down_and_clamps(self):
+        decide = self.POLICY.decide
+        assert decide(0, 0.1, 0.5, 0, 2, 8) == (2, "down", "utilization 0.10 < 0.25")
+        assert decide(0, 0.9, 0.5, 0, 3, 8) == (0, None, "")  # at max_replicas
+        assert decide(0, 0.1, 0.5, 0, 1, 8) == (0, None, "")  # at min_replicas
+        assert decide(0, 0.1, 0.5, 1, 2, 8) == (0, None, "")  # queue not empty
+
+    def test_cooldown_counts_down_without_acting(self):
+        assert self.POLICY.decide(2, 0.9, 0.0, 0, 1, 8) == (1, None, "")
+        assert self.POLICY.decide(1, 0.9, 0.0, 0, 1, 8) == (0, None, "")
+
+
 class TestSignals:
     def test_idle_fleet_reads_zero_utilization(
         self, cluster_model, hash_tokenizer, weak_spec, fleet_config

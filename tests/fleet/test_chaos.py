@@ -24,6 +24,7 @@ from repro.fleet import (
     AutoscalePolicy,
     BrownoutLadder,
     ChaosPlan,
+    ChaosStats,
     CircuitBreaker,
     FailureEvent,
     Fleet,
@@ -308,6 +309,18 @@ class TestBrownoutLadder:
         assert ladder.levels == (1.0, 2.0)
         assert ladder.dwell_ms == 25.0
         assert ladder.level == 0
+
+    def test_step_escalates_at_once_and_steps_down_after_dwell(self):
+        ladder = BrownoutLadder(levels=(1.0, 1.5, 2.0), dwell_ms=50.0)
+        chaos = ChaosStats()
+        # 1.8x the base bound climbs two levels in one admission
+        assert ladder.step(18.0, 10.0, 0.0, chaos, None) == 20.0
+        assert (ladder.level, chaos.brownout_escalations) == (2, 2)
+        # within the dwell nothing moves back, even when the load fits
+        assert ladder.step(5.0, 10.0, 49.0, chaos, None) == 20.0
+        # past it, one level per admission
+        assert ladder.step(5.0, 10.0, 50.0, chaos, None) == 15.0
+        assert (ladder.level, chaos.brownout_deescalations) == (1, 1)
 
 
 # ----------------------------------------------------------------------

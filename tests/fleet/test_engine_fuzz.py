@@ -2,13 +2,16 @@
 
 The hand-picked matrices in ``test_columnar_equiv.py`` and
 ``test_chaos.py`` pin chosen corners.  Here hypothesis draws the whole
-configuration — scenario class and rate, a replica mix, autoscaling,
-the admission bound, a resilience policy (none, the all-off default, or
-random valid knobs), an optional gray or fail-stop plan, and a shard
-count — and the event-loop analytic engine, the columnar engine's
-per-arrival Python path and its C kernel must all render the same
-``to_json()`` bytes.  ``derandomize``
-keeps the drawn examples fixed from run to run.
+configuration — scenario class and rate, a replica mix, an autoscale
+policy with random thresholds, the admission bound, a resilience policy
+(none, the all-off default, or random valid knobs), an optional gray or
+fail-stop plan, and a shard count — and the event-loop analytic engine,
+the columnar engine's per-arrival Python path and its C kernel, each
+with an observer attached, must all render the same ``to_json()``,
+Prometheus, window and trace bytes.  Both engines make every admission,
+retry and scaling decision through the same functions, so this guards
+that shared core.  ``derandomize`` keeps the drawn examples fixed from
+run to run.
 """
 
 from dataclasses import replace
@@ -27,6 +30,7 @@ from repro.fleet import (
     run_scenario_columnar,
 )
 from repro.fleet.scenarios import SCENARIO_NAMES
+from repro.obs import FleetObserver
 
 SPECS = {
     "weak": ReplicaSpec(
@@ -39,11 +43,6 @@ SPECS = {
     ),
 }
 
-AUTOSCALE = AutoscalePolicy(
-    min_replicas=1, max_replicas=4, interval_ms=60.0, cooldown_ticks=1
-)
-
-
 # Hypothesis favours small draws, so draws that load the fleet are
 # mirrored: the smallest draw is the heaviest rate, the tightest
 # admission bound, the most retries and every mechanism on.
@@ -52,6 +51,19 @@ def _mirrored(lo, hi):
 
 
 ON = st.booleans().map(lambda off: not off)
+
+AUTOSCALE = st.builds(
+    lambda bounds, **knobs: AutoscalePolicy(
+        utilization_low=min(bounds), utilization_high=max(bounds), **knobs
+    ),
+    bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(
+        lambda b: b[0] != b[1]
+    ),
+    slo_headroom=st.floats(0.2, 3.0),
+    cooldown_ticks=st.integers(0, 3),
+    interval_ms=st.floats(10.0, 120.0),
+    max_replicas=st.integers(1, 5),
+)
 
 # Every knob in its valid range; mechanisms switch on independently.
 POLICIES = st.builds(
@@ -80,14 +92,14 @@ GRAY_EVENTS = st.fixed_dictionaries({
     "kind": st.just("gray"),
     "replica": st.integers(0, 3),
     "start_ms": st.floats(0.0, 300.0),
-    "end_ms": st.floats(300.0, 600.0),
+    "end_ms": st.floats(300.0, 600.0, exclude_min=True),
     "slowdown": st.floats(1.5, 5.0),
 })
 FAIL_EVENTS = st.fixed_dictionaries({
     "kind": st.just("fail"),
     "replica": st.integers(0, 3),
     "at_ms": st.floats(0.0, 300.0),
-    "recover_ms": st.none() | st.floats(300.0, 600.0),
+    "recover_ms": st.none() | st.floats(300.0, 600.0, exclude_min=True),
 })
 PLANS = st.none() | st.builds(
     lambda event: chaos_plan_from_dict({"name": event["kind"], "events": [event]}),
@@ -101,7 +113,7 @@ PLANS = st.none() | st.builds(
     scenario=st.sampled_from(sorted(SCENARIO_NAMES)),
     rate_scale=_mirrored(1.0, 8.0),
     replicas=st.lists(st.sampled_from(sorted(SPECS)), min_size=1, max_size=3),
-    autoscaled=st.booleans(),
+    autoscale=st.none() | AUTOSCALE,
     admit_slo_factor=_mirrored(0.2, 1.0),
     resilience=POLICIES | st.sampled_from([None, ResiliencePolicy()]),
     plan=PLANS,
@@ -109,27 +121,39 @@ PLANS = st.none() | st.builds(
     seed=st.integers(0, 999),
 )
 def test_engines_render_the_same_report(
-    scenario, rate_scale, replicas, autoscaled, admit_slo_factor, resilience,
+    scenario, rate_scale, replicas, autoscale, admit_slo_factor, resilience,
     plan, shards, seed, cluster_model, hash_tokenizer, fleet_config,
 ):
     specs = [SPECS[name] for name in replicas]
     fleet_config = replace(fleet_config, admit_slo_factor=admit_slo_factor)
     kw = dict(
-        autoscale=AUTOSCALE if autoscaled else None,
-        scale_spec=specs[0] if autoscaled else None,
+        autoscale=autoscale,
+        scale_spec=specs[0] if autoscale else None,
         chaos=plan,
         resilience=resilience,
         seed=seed,
         rate_scale=rate_scale,
         duration_scale=0.5,
     )
-    reference = run_scenario(
-        scenario, cluster_model, hash_tokenizer, specs, fleet_config,
-        analytic=True, **kw,
-    ).to_json()
+
+    def artifacts(report, obs):
+        return (
+            report.to_json(), obs.render_prometheus(), obs.window_lines(),
+            obs.trace_json(),
+        )
+
+    obs = FleetObserver()
+    reference = artifacts(
+        run_scenario(
+            scenario, cluster_model, hash_tokenizer, specs, fleet_config,
+            analytic=True, obs=obs, **kw,
+        ),
+        obs,
+    )
     for native in (False, True) if native_available() else (False,):
+        obs = FleetObserver()
         got = run_scenario_columnar(
             scenario, cluster_model, hash_tokenizer, specs, fleet_config,
-            shards=shards, native=native, **kw,
+            shards=shards, native=native, obs=obs, **kw,
         )
-        assert got.to_json() == reference, f"native={native}"
+        assert artifacts(got, obs) == reference, f"native={native}"

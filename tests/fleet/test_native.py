@@ -4,7 +4,12 @@ import os
 
 import pytest
 
-from repro.fleet import _native, native_available, run_scenario_columnar
+from repro.fleet import (
+    ResiliencePolicy,
+    _native,
+    native_available,
+    run_scenario_columnar,
+)
 
 
 @pytest.fixture
@@ -32,6 +37,25 @@ def test_disabled_kernel_says_why(monkeypatch, fresh_loader):
     monkeypatch.setenv("REPRO_COLUMNAR_NATIVE", "0")
     assert _native.available() is False
     assert "REPRO_COLUMNAR_NATIVE=0" in _native.build_error()
+
+
+def test_forced_kernel_without_compiler_raises(
+    monkeypatch, fresh_loader, cluster_model, hash_tokenizer, weak_spec,
+    fleet_config,
+):
+    monkeypatch.setattr(_native, "_compiler", lambda: None)
+    with pytest.raises(RuntimeError, match="no C compiler"):
+        run_scenario_columnar(
+            "steady", cluster_model, hash_tokenizer, [weak_spec], fleet_config,
+            native=True, seed=1, rate_scale=0.5,
+        )
+    # A resilience mechanism keeps its per-arrival Python path.
+    report = run_scenario_columnar(
+        "steady", cluster_model, hash_tokenizer, [weak_spec], fleet_config,
+        native=True, seed=1, rate_scale=0.5,
+        resilience=ResiliencePolicy(max_retries=1),
+    )
+    assert report.stats.completed > 0
 
 
 @pytest.mark.skipif(not native_available(), reason="no C compiler")

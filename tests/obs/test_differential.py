@@ -16,6 +16,7 @@ the underlying reports are runs the fleet suite already proves identical.
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,8 @@ from repro.fleet import (
     ChaosPlan,
     FailureEvent,
     GrayWindow,
+    ReplicaSpec,
+    chaos_plan_from_dict,
     native_available,
     run_scenario,
     run_scenario_columnar,
@@ -147,6 +150,54 @@ class TestDeterminism:
         assert stream.getvalue() == "".join(l + "\n" for l in obs.window_lines())
 
 
+class TestLateControlEvents:
+    """A control event past the trace's end closes no extra windows.
+
+    A fail of a replica that never existed, landing after the last
+    record, once made the event loop stream empty windows up to its
+    instant (and feed them to the burn-rate alerts) while the columnar
+    engine stopped at the run's duration.
+    """
+
+    def _streams_both(self, scenario, model, tokenizer, specs, config, **kw):
+        ref_obs, col_obs = FleetObserver(), FleetObserver()
+        ref = run_scenario(
+            scenario, model, tokenizer, specs, config, analytic=True,
+            obs=ref_obs, **kw,
+        )
+        got = run_scenario_columnar(
+            scenario, model, tokenizer, specs, config, obs=col_obs, **kw,
+        )
+        assert got.to_json() == ref.to_json()
+        return _streams(ref_obs), _streams(col_obs)
+
+    def test_fail_after_the_trace(
+        self, cluster_model, hash_tokenizer, fleet_config
+    ):
+        ref, col = self._streams_both(
+            "flash-crowd", cluster_model, hash_tokenizer,
+            [ReplicaSpec()] * 2, fleet_config, seed=7,
+            failures=[FailureEvent(replica_id=5, fail_ms=400.0)],
+        )
+        assert len(ref[1]) == len(col[1])
+        assert ref == col
+
+    def test_late_fail_keeps_the_alert_state(
+        self, cluster_model, hash_tokenizer, hetero_specs, fleet_config
+    ):
+        plan = chaos_plan_from_dict({
+            "name": "late-fail",
+            "events": [{"kind": "fail", "replica": 1, "at_ms": 160.0}],
+        })
+        ref, col = self._streams_both(
+            "diurnal", cluster_model, hash_tokenizer, hetero_specs[1:],
+            replace(fleet_config, admit_slo_factor=0.2), seed=0,
+            rate_scale=8.0, duration_scale=0.5, chaos=plan,
+        )
+        assert 'repro_alerts_firing{alert="page-slo-burn"} 1' in col[0]
+        assert ref == col
+
+
 class TestDisabledPaths:
     def test_null_observer_is_transparent(
         self, cluster_model, hash_tokenizer, hetero_specs, fleet_config
@@ -167,6 +218,7 @@ class TestDisabledPaths:
         assert null.on_arrival(1.0) is None
         assert null.finalize(None) is None
 
+    @pytest.mark.skipif(not native_available(), reason="no C compiler")
     def test_obs_disables_native_kernel_gate(
         self, cluster_model, hash_tokenizer, hetero_specs, fleet_config
     ):
