@@ -27,7 +27,7 @@ replica and migrates its queue, so shrinking never drops accepted work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..serve.metrics import percentile
 from .fleet import Fleet, Replica, ReplicaSpec
@@ -107,6 +107,38 @@ class AutoscalePolicy:
         return 0, None, ""
 
 
+def tick_signals(
+    window_ms: float,
+    busy_delta_ms: float,
+    live: int,
+    samples: Sequence[float],
+    floor: Optional[float],
+) -> Tuple[float, float]:
+    """One tick's utilization and p99 signals, the math both engines share.
+
+    Args:
+        window_ms: Time since the last tick.
+        busy_delta_ms: Fleet busy time accrued over the window.
+        live: Live replica count.
+        samples: Latencies of the requests finishing in the window.
+        floor: The tightest accepted SLO so far (``None`` before any).
+
+    Returns:
+        ``(utilization, p99_ratio)``: busy time over live capacity time,
+        capped at 1, and the window p99 over ``floor``; each is 0.0 when
+        its inputs are empty or zero.
+    """
+    if window_ms <= 0 or live == 0:
+        utilization = 0.0
+    else:
+        utilization = min(1.0, busy_delta_ms / (window_ms * live))
+    if not samples or not floor:
+        p99_ratio = 0.0
+    else:
+        p99_ratio = percentile(samples, 99) / floor
+    return utilization, p99_ratio
+
+
 @dataclass(frozen=True)
 class ScaleEvent:
     """One autoscaling action, for the report's audit trail."""
@@ -163,22 +195,12 @@ class Autoscaler:
             for d in replica.engine.router.devices
         )
 
-    def window_utilization(self, now_ms: float) -> float:
-        """Busy fraction of live capacity over the window just ended."""
-        window = now_ms - self._last_tick_ms
-        live = len(self.fleet.live_replicas())
-        if window <= 0 or live == 0:
-            return 0.0
-        busy_delta = self._total_busy_ms() - self._busy_snapshot
-        return min(1.0, busy_delta / (window * live))
+    def window_signals(self, now_ms: float) -> Tuple[float, float]:
+        """``(utilization, p99_ratio)`` over the window just ended.
 
-    def window_p99_over_slo(self, now_ms: float) -> float:
-        """Worst p99-to-SLO ratio among requests finishing in the window.
-
-        Uses the engines' own latency accounting (batch execution fixes
-        each request's finish time as soon as it is scheduled, so requests
-        "finish" on the simulated clock even mid-trace).  Returns 0.0 for
-        an empty window.
+        The p99 reads the engines' own latency accounting (batch execution
+        fixes each request's finish time as soon as it is scheduled, so
+        requests "finish" on the simulated clock even mid-trace).
         """
         samples: List[float] = []
         for replica in self.fleet.replicas.values():
@@ -192,12 +214,13 @@ class Autoscaler:
                     break
                 if result.finish_ms <= now_ms:
                     samples.append(result.latency_ms)
-        if not samples:
-            return 0.0
-        floor = self.fleet.min_accepted_slo_ms
-        if not floor:
-            return 0.0
-        return percentile(samples, 99) / floor
+        return tick_signals(
+            now_ms - self._last_tick_ms,
+            self._total_busy_ms() - self._busy_snapshot,
+            len(self.fleet.live_replicas()),
+            samples,
+            self.fleet.min_accepted_slo_ms,
+        )
 
     def queue_depth(self) -> int:
         """Requests currently waiting in live replicas' batchers."""
@@ -215,8 +238,7 @@ class Autoscaler:
         Returns:
             The :class:`ScaleEvent` taken, or ``None``.
         """
-        utilization = self.window_utilization(now_ms)
-        p99_ratio = self.window_p99_over_slo(now_ms)
+        utilization, p99_ratio = self.window_signals(now_ms)
         depth = self.queue_depth()
         live = len(self.fleet.live_replicas())
         if self.obs is not None:

@@ -19,10 +19,11 @@ Two halves, deliberately separate:
   the admission bound stepwise before shedding.
 
 Everything here is engine-neutral: the event-loop fleet
-(:mod:`repro.fleet.fleet`) and the columnar engine
-(:mod:`repro.fleet.columnar`) share these exact objects, and both make
-every admission through :func:`admit` and every shed-or-retry choice
-through :func:`retry_delay`, so every chaos primitive replays
+(:mod:`repro.fleet.fleet`) makes every admission through :func:`admit`
+and every shed-or-retry choice through :func:`retry_delay`; the
+columnar engine (:mod:`repro.fleet.columnar`) keeps these objects as
+its state and runs the same two rules compiled in its C kernel
+(:mod:`repro.fleet._native`), so every chaos primitive replays
 byte-identically in both.  The determinism contract: equal
 ``(policy, seed, request index, attempt)`` always yields the same
 delay; breaker and brownout transitions depend only on the simulated
@@ -287,9 +288,9 @@ class ResiliencePolicy:
     Both engines run every admission through one rule that reads this
     policy; a run without one uses ``ResiliencePolicy()``.  With every
     knob at its default, :attr:`enabled` is False and the rule does
-    exactly the plain admit-or-shed — so the columnar engine hands the
-    run to its C kernel, the zero-cost-when-disabled contract the fleet
-    bench gates.
+    exactly the plain admit-or-shed — the columnar C kernel's shed-skip
+    fast path, the zero-cost-when-disabled contract the fleet bench
+    gates.
     """
 
     # retry: re-attempt shed admissions after seeded backoff
@@ -365,8 +366,8 @@ class ResiliencePolicy:
 
     @property
     def enabled(self) -> bool:
-        """True iff any mechanism is active (columnar runs leave the
-        C kernel for the per-arrival path)."""
+        """True iff any mechanism is active (the columnar C kernel then
+        tracks breaker, ladder, retry and hedge state per decision)."""
         return bool(
             self.max_retries > 0
             or self.hedge
@@ -422,7 +423,9 @@ def retry_delay(
     index: int,
     attempt: int,
 ) -> Optional[float]:
-    """Retry or final shed, for one shed admission attempt of both engines.
+    """Retry or final shed, for one shed admission attempt.
+
+    The event loop calls it; the columnar C kernel compiles it.
 
     A retry needs attempts left *and* a budget token; the delay is
     :func:`backoff_delay_ms` of ``(seed, index, attempt + 1)``.  Counts
@@ -446,9 +449,9 @@ class RetryBudget:
 
     One token buys one retry; ``ratio`` tokens accrue per admitted
     *original* request (capped at ``burst``).  ``ratio == 0`` means
-    unlimited — the budget never blocks.  Both engines call
-    :meth:`accrue`/:meth:`spend` at the same points in the same order,
-    so the (float) balance stays byte-identical.
+    unlimited — the budget never blocks.  Both engines accrue and spend
+    at the same points in the same order (the columnar C kernel replays
+    these two methods on the balance), so it stays byte-identical.
     """
 
     ratio: float = 0.0
@@ -495,9 +498,10 @@ class CircuitBreaker:
     moves it to *half-open* and the next ``probes`` batches decide —
     any straggle reopens, all clean closes.
 
-    Plain picklable state shared verbatim by both engines (it rides the
-    columnar engine's shard-state pickle), so breaker behavior cannot
-    drift between them.  All comparisons are on floats both engines
+    Plain picklable state of both engines: the columnar engine packs it
+    into its C kernel's arrays around each sweep (which replays
+    :meth:`allows` and :meth:`observe` exactly) and its shard-state
+    pickle carries it.  All comparisons are on floats both engines
     already share byte-identically.
     """
 
@@ -688,7 +692,9 @@ def admit(
     chaos: ChaosStats,
     obs,
 ) -> Tuple[Optional[str], object, object]:
-    """One admission decision, the rule both fleet engines call.
+    """One admission decision, the rule of both fleet engines.
+
+    The event loop calls it; the columnar C kernel compiles it.
 
     In order: drop replicas whose circuit breaker is open (in id order,
     so lazy open -> half-open moves land identically in both engines);

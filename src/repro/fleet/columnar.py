@@ -13,22 +13,25 @@ simulation over columns:
   bucket, batch size) price table
   (:func:`repro.serve.router.service_table`);
 - replica state is a handful of scalars and tiny per-bucket FIFOs;
-- the per-arrival decision sweep — project, admit or shed, enqueue,
-  flush — runs in a runtime-compiled C kernel (:mod:`repro.fleet._native`)
-  or, for resilient runs and without a C compiler, per arrival through
-  the admission rule the event loop calls too; both do the same IEEE-754
-  operations in the same order;
+- the per-arrival decision sweep — project, admit or shed (or retry),
+  enqueue, flush, with every resilience mechanism — runs in a
+  runtime-compiled C kernel (:mod:`repro.fleet._native`), retries
+  interleaved with arrivals on the simulated clock;
 - every sweep logs its flushes as decision columns (replica, bucket,
   size, start, service, finish, and each completion's request and
-  enqueue time), and one numpy post-pass turns them into observer
-  records, autoscaler latency history and the tightest accepted SLO —
-  so observed, autoscaled and gray runs take the C kernel as well.
+  enqueue time) plus its final sheds, breaker transitions and brownout
+  steps, and one numpy post-pass turns them into observer records and
+  autoscaler latency history.
 
-**Exactness.** Both engines make each policy decision in one shared
-function: admission in :func:`repro.fleet.chaos.admit`, retry or final
-shed in :func:`repro.fleet.chaos.retry_delay`, scaling in
-:meth:`repro.fleet.autoscale.AutoscalePolicy.decide` (the C kernel is
-``admit`` with every mechanism off, compiled).  What this module keeps
+Without a C compiler, :func:`run_scenario_columnar` hands the run to
+the analytic event loop instead, which renders the same bytes.
+
+**Exactness.** Both engines make each policy decision by one rule:
+admission as :func:`repro.fleet.chaos.admit`, retry or final shed as
+:func:`repro.fleet.chaos.retry_delay` (the C kernel compiles both, in
+the same IEEE-754 operations and order), scaling in
+:meth:`repro.fleet.autoscale.AutoscalePolicy.decide` on the signals of
+:func:`repro.fleet.autoscale.tick_signals`.  What this module keeps
 is its own state layout and the signals it feeds them: admission
 projections accumulate queued-batch prices in bucket first-use order,
 deadline flushes fire in ``(deadline, bucket)`` order with the deadline
@@ -51,21 +54,22 @@ for shard counts 1, 2, 5, and 7.
 
 from __future__ import annotations
 
-import heapq
 import math
+import os
 import traceback
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..serve.metrics import percentile
 from ..serve.router import service_table
-from .autoscale import SCALE_UP, AutoscalePolicy, ScaleEvent
+from .autoscale import SCALE_UP, AutoscalePolicy, ScaleEvent, tick_signals
 from .chaos import (
-    SHED_CODE_OF_REASON,
-    SHED_NO_CAPACITY,
-    SHED_OVERLOAD,
+    _MASK64,
+    BREAKER_CLOSED,
+    BREAKER_HALF_OPEN,
+    BREAKER_OPEN,
     SHED_REASON_OF_CODE,
     BrownoutLadder,
     ChaosPlan,
@@ -74,8 +78,6 @@ from .chaos import (
     GrayWindow,
     ResiliencePolicy,
     RetryBudget,
-    admit,
-    retry_delay,
 )
 from .fleet import FleetConfig, ReplicaSpec, reference_bucket
 from .metrics import build_fleet_stats_columns, build_replica_stats
@@ -89,6 +91,7 @@ from .runner import (
     FailureEvent,
     FleetReport,
     control_events,
+    run_scenario,
 )
 from .scenarios import (
     ColumnarTrace,
@@ -98,10 +101,24 @@ from .scenarios import (
     builtin_scenarios,
 )
 from . import _native
+from ._native import (
+    F_COUNT, I_COUNT, I_DEESC, I_DONE, I_ERROR, I_EVENTS, I_EV_CAP,
+    I_FINISHED, I_FLUSHES, I_HEAP, I_LEVEL, I_MIGRATIONS, I_RETRIES, I_SEQ,
+    I_SHEDS, I_STOP, P_LIMIT, Q_ADVANCE, Q_INCLUSIVE, Q_L, Q_MIGRANTS, Q_SEED,
+)
 
 # Arrivals per C-kernel call: the kernel's completion and batch logs are
 # sized by one call, so this bounds their memory on any trace.
 SWEEP_CHUNK = 1 << 20
+
+# Breaker states by kernel code, and the ChaosStats counters the kernel
+# carries in is[I_RETRIES:I_DEESC + 1], in that order.
+_BREAKER_STATES = (BREAKER_CLOSED, BREAKER_OPEN, BREAKER_HALF_OPEN)
+_BREAKER_CODE = {state: code for code, state in enumerate(_BREAKER_STATES)}
+_KERNEL_COUNTERS = (
+    "retries", "retry_budget_exhausted", "timeouts", "hedges", "hedge_wins",
+    "brownout_escalations", "brownout_deescalations",
+)
 
 
 def native_available() -> bool:
@@ -467,6 +484,11 @@ class _Batches(NamedTuple):
         return cls(*ints.T.astype(np.int64), *times.T.copy(), idx, enq)
 
 
+def _ptr(array: Optional[np.ndarray]) -> Optional[int]:
+    """A C-contiguous array's address for the kernel (``None``: NULL)."""
+    return None if array is None else array.ctypes.data
+
+
 def _cat(parts: List[np.ndarray], dtype) -> np.ndarray:
     if not parts:
         return np.empty(0, dtype=dtype)
@@ -474,61 +496,37 @@ def _cat(parts: List[np.ndarray], dtype) -> np.ndarray:
 
 
 class _Accum:
-    """Per-shard completion/shed accumulator and batch log."""
+    """Per-shard completions and sheds, plus the batch log the post-pass
+    drains."""
 
     def __init__(self):
-        # Python flushes log one row per batch — (rid, bucket slot, take,
-        # offset, start, service, fin) — plus its (request, enqueue ms)
-        # pairs; kernel sweeps log whole column chunks.  take_batches()
-        # drains both for the engine's post-pass.
-        self.rows: List[tuple] = []
-        self.requests: List[Tuple[int, float]] = []
         self.logged: List[_Batches] = []
         self.done_parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.shed_idx_py: List[int] = []
-        self.shed_code_py: List[int] = []
         self.shed_parts: List[Tuple[np.ndarray, np.ndarray]] = []
 
-    def take_batches(self) -> List[_Batches]:
-        """Drain the batch log; Python rows also become completions here."""
-        logged, self.logged = self.logged, []
-        if self.rows:
-            rows = np.array(self.rows, dtype=np.float64)
-            reqs = np.array(self.requests, dtype=np.float64)
-            self.rows, self.requests = [], []
-            log = _Batches.of(
-                rows[:, :4], rows[:, 4:], reqs[:, 0].astype(np.int64), reqs[:, 1]
-            )
-            self.done_parts.append((log.idx, np.repeat(log.fin, log.take)))
-            logged.append(log)
-        return logged
-
     def to_partial(self) -> ShardPartial:
-        shed_parts = [
-            (np.asarray(self.shed_idx_py, dtype=np.int64),
-             np.asarray(self.shed_code_py, dtype=np.uint8))
-        ] + self.shed_parts
         return ShardPartial(
             done_idx=_cat([idx for idx, _ in self.done_parts], np.int64),
             done_fin=_cat([fin for _, fin in self.done_parts], np.float64),
-            shed_idx=_cat([idx for idx, _ in shed_parts], np.int64),
-            shed_code=_cat([code for _, code in shed_parts], np.uint8),
+            shed_idx=_cat([idx for idx, _ in self.shed_parts], np.int64),
+            shed_code=_cat([code for _, code in self.shed_parts], np.uint8),
         )
 
 
 class ColumnarFleetEngine:
     """:class:`~repro.fleet.fleet.Fleet` + runner over columnar state.
 
-    Its decisions come from the functions the event loop calls; only the
-    state they read and the way a decision is applied are its own.
+    Every decision and every flush happens in the C kernel, which
+    compiles the functions the event loop calls; Python keeps the
+    replica lifecycle (add, fail, recover, remove), the autoscaler tick
+    and the packing of state around each kernel call.
     """
 
-    def __init__(
-        self,
-        prep: _Prepared,
-        use_native: Optional[bool] = None,
-        obs=None,
-    ):
+    def __init__(self, prep: _Prepared, obs=None):
+        if not _native.available():
+            raise RuntimeError(
+                f"the columnar engine needs its C kernel: {_native.build_error()}"
+            )
         self.prep = prep
         # Observability sink (repro.obs.FleetObserver) or None.  Falsy
         # sinks normalize to None so the sweeps stay seam-free when off.
@@ -538,33 +536,59 @@ class ColumnarFleetEngine:
         self.M = policy.max_batch_size
         self.wait = policy.max_wait_ms
         self.factor = prep.config.admit_slo_factor
-        self.bucket_values = list(policy.buckets)
-        self._bucket_value_col = np.asarray(self.bucket_values, dtype=np.int64)
-        self.ref_idx = self.bucket_values.index(reference_bucket(policy.buckets))
+        self._bucket_value_col = np.asarray(policy.buckets, dtype=np.int64)
+        self.ref_idx = list(policy.buckets).index(reference_bucket(policy.buckets))
         self.track_hist = prep.autoscale is not None
         # Every mechanism defaults off: a run without a policy takes the
         # same admission rule with nothing enabled.
-        self.policy = prep.resilience or ResiliencePolicy()
-        # The per-arrival path needs the live state from inside _flush
-        # (hedge cancellation); the engine stashes the current state here
-        # for the duration of a window.
-        self._cur_state: Optional[ColumnarFleetState] = None
+        self.policy = policy = prep.resilience or ResiliencePolicy()
         self._tables: Dict[Tuple[object, object], _DesignTables] = {}
-        # The C kernel takes every sweep with no resilience mechanism on:
-        # gray windows are its per-replica slowdown, and observer records
-        # and autoscaler history come from the batch log's post-pass.
-        self.use_native = (
-            _native.available() if use_native is None else bool(use_native)
-        ) and not self.policy.enabled
-        if self.use_native and not _native.available():
-            raise RuntimeError(
-                f"native=True but the C kernel is unavailable: {_native.build_error()}"
-            )
         # The batch log only has consumers when something watches.
         self._logging = self.obs is not None or self.track_hist
-        # Global scratch for the native kernel (allocated lazily).
-        self._finish_scratch: Optional[np.ndarray] = None
-        self._shed_scratch: Optional[np.ndarray] = None
+        # The kernel's run constants (its fp / ip slots, in enum order);
+        # each call sets the live count, time limit, flags and migrants.
+        self._fp = np.array(
+            [
+                self.wait, self.factor, prep.uniform_slo, -math.inf,
+                policy.backoff_base_ms, policy.backoff_jitter,
+                policy.retry_budget_ratio, policy.retry_budget_burst,
+                policy.hedge_factor,
+                math.inf if policy.timeout_ms is None else policy.timeout_ms,
+                policy.breaker_straggle_factor, policy.breaker_threshold,
+                policy.breaker_open_ms, policy.brownout_dwell_ms,
+                *policy.brownout_levels,
+            ],
+            dtype=np.float64,
+        )
+        self._ip = np.array(
+            [
+                0, self.B, self.M, 0, 0, 0, policy.max_retries, policy.hedge,
+                policy.breaker, policy.brownout, policy.breaker_window,
+                policy.breaker_min_samples, policy.breaker_probes,
+                len(policy.brownout_levels), 0,
+            ],
+            dtype=np.int64,
+        )
+        self._ip[Q_SEED:] = np.array([prep.seed & _MASK64], dtype=np.uint64).view(
+            np.int64
+        )
+        # Per-request finish times and shed codes the kernel writes, and
+        # its other run-long arrays, passed by address on every call.
+        n = prep.num_requests
+        self._finish_scratch = np.zeros(n, dtype=np.float64)
+        self._shed_scratch = np.zeros(n, dtype=np.uint8)
+        self._static_arrays = (
+            np.ascontiguousarray(prep.arrival, dtype=np.float64),
+            np.ascontiguousarray(prep.bucket_idx, dtype=np.int32),
+            np.ascontiguousarray(prep.slo, dtype=np.float64),
+            self._bucket_value_col, self._shed_scratch, self._finish_scratch,
+            np.empty(self.B, dtype=np.float64),   # due_dl scratch
+            np.empty(self.B, dtype=np.int64),     # due_bv scratch
+            np.empty(self.B, dtype=np.int64),     # due_b scratch
+        )
+        self._static = [array.ctypes.data for array in self._static_arrays]
+        # Price tables packed per live set (ref_price, price_full, svc).
+        self._prices: Dict[Tuple[int, ...], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # pricing
@@ -669,224 +693,44 @@ class ColumnarFleetEngine:
         self._rebuild_live(state)
         self._migrate(state, rep, now, acc)
 
-    # ------------------------------------------------------------------
-    # per-replica primitives (DynamicBatcher + engine dispatch on _Rep state)
-    # ------------------------------------------------------------------
-    def _projection(self, rep: _Rep, now: float) -> float:
-        backlog = rep.busy_until - now
-        if backlog < 0.0:
-            backlog = 0.0
-        queued = 0.0
-        M = self.M
-        tables = rep.tables
-        price = tables.price_full
-        for b in rep.order:
-            depth = len(rep.queues[b])
-            if depth:
-                queued += ((depth + M - 1) // M) * price[b]
-        return backlog + queued + tables.ref_price + self.wait
-
-    def _flush(self, rep: _Rep, b: int, flush_ms: float, acc: _Accum) -> None:
-        queue = rep.queues[b]
-        take = min(len(queue), self.M)
-        requests, rep.queues[b] = queue[:take], queue[take:]
-        rep.pending -= take
-        # `nominal` is the memoized simulator price (the router estimate);
-        # a gray window stretches the *realized* service exactly like
-        # DeviceRouter.dispatch — same multiply, same operands.
-        nominal = rep.tables.svc[b][take]
-        service = nominal if rep.slowdown == 1.0 else nominal * rep.slowdown
-        start = flush_ms if flush_ms > rep.busy_until else rep.busy_until
-        fin = start + service
-        rep.busy_until = fin
-        rep.busy_ms += service
-        rep.batches += 1
-        rep.requests += take
-        # Completions, observer records and autoscaler history all come
-        # from this row in the post-pass.
-        acc.rows.append(
-            (rep.replica_id, b, take, len(acc.requests), start, service, fin)
-        )
-        acc.requests.extend(requests)
-        # Same consumer order as Fleet._install_batch_hook: circuit
-        # breaker, then hedge cancellation (the observer's record is the
-        # logged row above).
-        breaker = rep.breaker
-        if breaker is not None:
-            transition = breaker.observe(
-                fin,
-                service > self.policy.breaker_straggle_factor * nominal,
-            )
-            # opens/closes roll up from the breakers at finalize (the
-            # live counters the event loop keeps are the same sums).
-            if transition is not None and self.obs is not None:
-                self.obs.on_breaker(rep.replica_id, fin, transition)
-        if self.policy.hedge:
-            state = self._cur_state
-            for idx, _enq in requests:
-                key = (rep.replica_id, idx)
-                twin = state.hedge.pop(key, None)
-                if twin is None:
-                    continue
-                twin_rid, twin_b = twin
-                del state.hedge[(twin_rid, idx)]
-                # cancel the still-queued twin copy (DynamicBatcher.cancel)
-                twin_rep = state.replicas[twin_rid]
-                twin_q = twin_rep.queues[twin_b]
-                pos = -1
-                for j, (qidx, _qenq) in enumerate(twin_q):
-                    if qidx == idx:
-                        pos = j
-                        break
-                if pos < 0:
-                    raise RuntimeError(
-                        f"hedged twin of request {idx} on replica "
-                        f"{twin_rid} was not cancellable — hedge "
-                        f"bookkeeping out of sync"
-                    )
-                del twin_q[pos]
-                twin_rep.pending -= 1
-                if pos == 0:
-                    nd = None
-                    wait = self.wait
-                    for b2 in twin_rep.order:
-                        q = twin_rep.queues[b2]
-                        if q:
-                            cand = q[0][1] + wait
-                            if nd is None or cand < nd:
-                                nd = cand
-                    twin_rep.next_dl = nd
-                if key in state.hedge_primary:
-                    state.hedge_primary.discard(key)
-                else:
-                    state.chaos.hedge_wins += 1
-                    state.hedge_primary.discard((twin_rid, idx))
-        # recompute the earliest pending deadline (batcher invariant)
-        nd = None
-        wait = self.wait
-        for b2 in rep.order:
-            q = rep.queues[b2]
-            if q:
-                cand = q[0][1] + wait
-                if nd is None or cand < nd:
-                    nd = cand
-        rep.next_dl = nd
-
-    def _fire_dues(self, rep: _Rep, now: float, acc: _Accum) -> None:
-        """``DynamicBatcher.due_batches``: collect, sort, flush at deadlines."""
-        if rep.next_dl is None or now < rep.next_dl:
-            return
-        wait = self.wait
-        values = self.bucket_values
-        due = []
-        for b in rep.order:
-            q = rep.queues[b]
-            if q:
-                deadline = q[0][1] + wait
-                if deadline <= now:
-                    due.append((deadline, values[b], b))
-        due.sort()
-        for deadline, _, b in due:
-            self._flush(rep, b, deadline, acc)
-
-    def _enqueue(
-        self, rep: _Rep, b: int, idx: int, now: float, acc: _Accum
-    ) -> bool:
-        """Enqueue one request; returns True when it flushed on the spot.
-
-        The return value answers the event loop's ``engine_rid not in
-        engine.results`` probe after submit: a full batch flushes inside
-        the enqueue and executes the request immediately (hedging only
-        duplicates requests that are still queued).
-        """
-        queue = rep.queues[b]
-        queue.append((idx, now))
-        rep.pending += 1
-        if len(queue) == 1:
-            if not rep.seen[b]:
-                rep.seen[b] = True
-                rep.order.append(b)
-            deadline = now + self.wait
-            if rep.next_dl is None or deadline < rep.next_dl:
-                rep.next_dl = deadline
-        if len(queue) >= self.M:
-            self._flush(rep, b, now, acc)
-            return True
-        return False
-
-    def _advance(self, state: ColumnarFleetState, now: float, acc: _Accum) -> None:
-        """``Fleet.advance``: fire due deadlines on live replicas, id order."""
-        for rep in state.live:
-            if rep.next_dl is not None and rep.next_dl <= now:
-                self._fire_dues(rep, now, acc)
-        if now > state.now:
-            state.now = now
-
     def _migrate(
         self, state: ColumnarFleetState, rep: _Rep, now: float, acc: _Accum
     ) -> None:
-        """``Fleet._migrate_pending``: evict in enqueue order, resubmit at now."""
-        evicted: List[Tuple[int, float, int]] = []
-        for b in rep.order:
-            queue = rep.queues[b]
-            if queue:
-                evicted.extend((idx, enq, b) for idx, enq in queue)
-                queue.clear()
-        if not evicted:
-            rep.pending = 0
-            rep.next_dl = None
-            return
+        """``Fleet._migrate_pending``: evict in enqueue order, re-place at now."""
+        evicted = sorted(
+            ((enq, idx, b) for b in rep.order for idx, enq in rep.queues[b]),
+            key=lambda e: e[0],
+        )  # stable, like evict_all
+        rep.queues = [[] for _ in range(self.B)]
         rep.pending = 0
         rep.next_dl = None
-        evicted.sort(key=lambda e: e[1])  # stable, like evict_all
-        hedging = self.policy.hedge
-        for idx, _enq, b in evicted:
-            if hedging:
-                twin = state.hedge.pop((rep.replica_id, idx), None)
-                if twin is not None:
-                    # One copy of a hedged pair was queued here; the twin
-                    # (still queued elsewhere) carries the request alone —
-                    # drop this copy instead of migrating it, exactly like
-                    # Fleet._migrate_pending.
-                    del state.hedge[(twin[0], idx)]
-                    state.hedge_primary.discard((rep.replica_id, idx))
-                    state.hedge_primary.discard((twin[0], idx))
-                    continue
-            survivors = state.live
-            if not survivors:
-                acc.shed_idx_py.append(idx)
-                acc.shed_code_py.append(SHED_CODE_OF_REASON[SHED_NO_CAPACITY])
-                if self.obs is not None:
-                    # Bucketed at migration time, like Fleet._migrate_pending.
-                    self.obs.on_shed(now, SHED_NO_CAPACITY)
+        migrants = []
+        for _enq, idx, b in evicted:
+            twin = state.hedge.pop((rep.replica_id, idx), None)
+            if twin is not None:
+                # One copy of a hedged pair was queued here; the twin
+                # (still queued elsewhere) carries the request alone —
+                # drop this copy instead of migrating it, exactly like
+                # Fleet._migrate_pending.
+                del state.hedge[(twin[0], idx)]
+                state.hedge_primary.discard((rep.replica_id, idx))
+                state.hedge_primary.discard((twin[0], idx))
                 continue
-            best = min(
-                survivors, key=lambda r: (self._projection(r, now), r.replica_id)
-            )
-            # engine.submit fires the target's due deadlines at `now`
-            # before enqueueing (matters when max_wait_ms == 0).
-            self._fire_dues(best, now, acc)
-            self._enqueue(best, b, idx, now, acc)
-            state.migrations += 1
+            migrants.append((idx, b))
+        if migrants:
+            end = self.prep.num_requests
+            self._sweep(state, acc, end, end, now, migrants=migrants)
 
     # ------------------------------------------------------------------
     # autoscaler tick: gather the signals, AutoscalePolicy.decide, apply
     # ------------------------------------------------------------------
     def _tick(self, state: ColumnarFleetState, now: float, acc: _Accum) -> None:
-        # Batches flushed since the last sweep (deadlines due at this
-        # instant, retries) must reach the latency history first.
-        self._post_pass(state, acc)
+        # The sweep up to this instant has post-passed every batch it
+        # flushed, so the latency history is complete.
         live_n = len(state.live)
-        window = now - state.last_tick
         total_busy = 0.0
         for rep in state.replicas:  # creation order == id order, like _total_busy_ms
             total_busy += rep.busy_ms
-        if window <= 0 or live_n == 0:
-            utilization = 0.0
-        else:
-            utilization = min(
-                1.0, (total_busy - state.busy_snapshot) / (window * live_n)
-            )
         samples: List[float] = []
         if state.hist:
             # Completions finishing in (last tick, now] are this window's
@@ -897,11 +741,10 @@ class ColumnarFleetEngine:
             # Finishes at or before this tick can never be sampled again.
             keep = fin > now
             state.hist = [(fin[keep], lat[keep])] if keep.any() else []
-        if not samples:
-            p99_ratio = 0.0
-        else:
-            floor = state.min_slo
-            p99_ratio = 0.0 if not floor else percentile(samples, 99) / floor
+        utilization, p99_ratio = tick_signals(
+            now - state.last_tick, total_busy - state.busy_snapshot, live_n,
+            samples, state.min_slo,
+        )
         depth = 0
         for rep in state.live:
             depth += rep.pending
@@ -930,72 +773,87 @@ class ColumnarFleetEngine:
             self.obs.on_scale(event)
 
     # ------------------------------------------------------------------
-    # arrival sweeps
+    # kernel sweeps
     # ------------------------------------------------------------------
-    def _run_arrivals(
-        self, state: ColumnarFleetState, lo: int, hi: int, acc: _Accum
+    def _sweep(
+        self,
+        state: ColumnarFleetState,
+        acc: _Accum,
+        lo: int,
+        hi: int,
+        limit: float = -math.inf,
+        inclusive: bool = False,
+        advance: bool = False,
+        migrants: Sequence[Tuple[int, int]] = (),
     ) -> None:
-        if hi <= lo:
-            return
-        if not self.use_native:
-            # Per-arrival admission: a resilience mechanism is on (breaker
-            # probes, brownout hysteresis and retries racing the trace
-            # need it) or there is no kernel.  Even the no-live-replica
-            # case routes through it so sheds can become scheduled retries.
-            self._run_arrivals_python(state, lo, hi, acc)
-            self._post_pass(state, acc)
-            return
-        if not state.live:
-            # No live replica: every arrival sheds with no-capacity, and
-            # with no queues there are no deadlines to fire (vectorized).
-            shed, reason = np.arange(lo, hi, dtype=np.int64), SHED_NO_CAPACITY
-        else:
-            shed = self._run_arrivals_native(state, lo, hi, acc)
-            reason = SHED_OVERLOAD
-        if shed.shape[0]:
-            acc.shed_parts.append((
-                shed,
-                np.full(shed.shape[0], SHED_CODE_OF_REASON[reason], dtype=np.uint8),
+        """One step of the run up to ``limit``, through the kernel.
+
+        In order: re-place ``migrants`` (evicted ``(request, bucket)``
+        pairs) at ``limit``; arrivals ``[lo, hi)``, each after the retries
+        due before it; the retries due before ``limit`` — and at it when
+        ``inclusive``, since a control event's instant orders retries
+        after fail/recover/gray events but before a tick (``_RETRY <
+        _TICK``); with ``advance``, the batching deadlines due by
+        ``limit`` (``Fleet.advance``).  Then the post-pass.
+        """
+        heap = state.retry_heap
+        if not (
+            hi > lo
+            or migrants
+            or (heap and heap[0][0] <= limit)
+            or (advance and any(
+                r.next_dl is not None and r.next_dl <= limit for r in state.live
             ))
-        state.now = max(state.now, float(self.prep.arrival[hi - 1]))
-        self._post_pass(state, acc, (lo, hi, shed, reason))
+        ):
+            return
+        sheds, events = self._run_kernel(
+            state, acc, lo, hi, limit, inclusive, advance, migrants
+        )
+        if sheds.shape[0]:
+            acc.shed_parts.append((sheds, self._shed_scratch[sheds]))
+        self._post_pass(state, acc, lo, hi, sheds, events)
 
     def _post_pass(
-        self, state: ColumnarFleetState, acc: _Accum, sweep: Optional[tuple] = None
+        self,
+        state: ColumnarFleetState,
+        acc: _Accum,
+        lo: int,
+        hi: int,
+        sheds: np.ndarray,
+        events: Optional[list],
     ) -> None:
         """Turn the logged decision columns into everything that reads them.
 
         The one place flushed batches become observer records (batch
         spans with the worst-request critical path, completions and
-        SLO-met counts) and autoscaler latency history.  Given an arrival
-        sweep's ``(lo, hi, shed indices, shed reason)`` it also records the
-        span's arrivals and sheds and folds its accepted SLOs into
-        ``min_slo``.  It runs at the end of every arrival sweep, before
-        every tick and before a window's partial leaves, so each consumer
-        sees every batch flushed before it.  Each value is the same IEEE
-        operation on the same operands as a per-batch loop, and the
-        observer's aggregates are multiset functions (trace export is
+        SLO-met counts) and autoscaler latency history.  It also records
+        the sweep's arrivals ``[lo, hi)`` and its ``sheds`` — in bulk when
+        ``events`` is None (all sheds are arrivals, of one reason), else
+        by replaying the kernel's shed, breaker and brownout log in
+        decision order.  It runs at the end of every sweep, so each
+        consumer sees every batch flushed before it.  Each value is the
+        same IEEE operation on the same operands as a per-batch loop, and
+        the observer's aggregates are multiset functions (trace export is
         sorted), so record order never changes a byte.
         """
-        batches = acc.take_batches()
+        batches, acc.logged = acc.logged, []
         obs = self.obs
         prep = self.prep
-        if sweep is not None:
-            lo, hi, shed, reason = sweep
-            if obs is not None:
+        if obs is not None:
+            if hi > lo:
                 obs.on_arrivals(prep.arrival[lo:hi])
-                if shed.shape[0]:
-                    obs.on_sheds(prep.arrival[shed], reason)
-            if self.track_hist:
-                # min_accepted_slo only feeds the autoscaler's p99 floor.
-                # The event loop's running min over admissions equals the
-                # min over the span's accepted rows (min is exact).
-                accepted = np.ones(hi - lo, dtype=bool)
-                accepted[shed - lo] = False
-                if accepted.any():
-                    tightest = float(prep.slo[lo:hi][accepted].min())
-                    if state.min_slo is None or tightest < state.min_slo:
-                        state.min_slo = tightest
+            if events is None:
+                if sheds.shape[0]:
+                    reason = SHED_REASON_OF_CODE[int(self._shed_scratch[sheds[0]])]
+                    obs.on_sheds(prep.arrival[sheds], reason)
+            else:
+                for kind, a, b, t in events:
+                    if kind == _native.EV_SHED:
+                        obs.on_shed(t, SHED_REASON_OF_CODE[a])
+                    elif kind == _native.EV_BREAKER:
+                        obs.on_breaker(a, t, _BREAKER_STATES[b])
+                    else:
+                        obs.on_brownout(t, a)
         if not self._logging:
             return
         for log in batches:
@@ -1010,54 +868,84 @@ class ColumnarFleetEngine:
                 prep.arrival[log.idx], log.enq, prep.slo[log.idx],
             )
 
-    def _run_arrivals_native(
-        self, state: ColumnarFleetState, lo: int, hi: int, acc: _Accum
-    ) -> np.ndarray:
-        """Pack state, run the C kernel, unpack — identical decisions.
+    def _run_kernel(
+        self,
+        state: ColumnarFleetState,
+        acc: _Accum,
+        lo: int,
+        hi: int,
+        limit: float,
+        inclusive: bool,
+        advance: bool,
+        migrants: Sequence[Tuple[int, int]],
+    ) -> Tuple[np.ndarray, Optional[list]]:
+        """Pack state, run the C kernel (see :meth:`_sweep`), unpack.
 
         The kernel runs over chunks of at most :data:`SWEEP_CHUNK`
         arrivals with the packed state carried from call to call, so its
         batch logs are sized per chunk, never per trace; they are NULL
-        when nothing reads them.  Returns the indices it shed, ascending.
+        when nothing reads them.  Breakers, the retry heap and hedged
+        pairs are packed only when the policy turns them on.
+
+        Returns:
+            The indices of the requests finally shed, and the observer
+            events ``(kind, a, b, ms)`` in decision order — ``None``
+            without an observer, or when the only sheds are arrivals of
+            a run with every mechanism off (ascending, one reason).
         """
         lib = _native.load()
+        policy = self.policy
         lreps = state.live
         L = len(lreps)
         B = self.B
         M = self.M
-        # One call completes at most its arrivals plus every queued
-        # request; that count bounds the int32 batch-log offsets.
-        cap = min(hi - lo, SWEEP_CHUNK) + L * B * M
-        if cap > _native.INDEX_LIMIT:
-            raise ValueError(
-                f"a kernel call over {min(hi - lo, SWEEP_CHUNK)} arrivals with "
-                f"up to {L * B * M} queued requests exceeds the kernel's int32 "
-                f"index limit of {_native.INDEX_LIMIT}"
-            )
-        if self._finish_scratch is None:
-            n = self.prep.num_requests
-            self._finish_scratch = np.zeros(n, dtype=np.float64)
-            self._shed_scratch = np.zeros(n, dtype=np.uint8)
-        finish = self._finish_scratch
-        shed = self._shed_scratch
+        chaos = state.chaos
+        ladder = state.brownout
+        heap = state.retry_heap
 
-        busy_until = np.array([r.busy_until for r in lreps], dtype=np.float64)
-        busy_ms = np.array([r.busy_ms for r in lreps], dtype=np.float64)
-        batches = np.array([r.batches for r in lreps], dtype=np.int64)
-        served = np.array([r.requests for r in lreps], dtype=np.int64)
-        price_full = np.array(
-            [r.tables.price_full for r in lreps], dtype=np.float64
-        ).reshape(-1)
-        ref_price = np.array([r.tables.ref_price for r in lreps], dtype=np.float64)
-        svc = np.array([r.tables.svc for r in lreps], dtype=np.float64).reshape(-1)
-        slowdown = np.array([r.slowdown for r in lreps], dtype=np.float64)
-        depth = np.zeros((L, B), dtype=np.int32)
+        # Scalars: fv = fs + fp, iv = is + ip (the kernel's enums).
+        fv = np.concatenate(([
+            state.budget.tokens,
+            math.inf if state.min_slo is None else state.min_slo,
+            ladder.last_change_ms if ladder is not None else 0.0,
+            state.now,
+        ], self._fp))
+        fs, fp = fv[:F_COUNT], fv[F_COUNT:]
+        iv = np.concatenate((np.zeros(I_COUNT, dtype=np.int64), self._ip))
+        is_, ip = iv[:I_COUNT], iv[I_COUNT:]
+        is_[I_LEVEL] = ladder.level if ladder is not None else 0
+        is_[I_SEQ] = state.retry_seq
+        is_[I_HEAP] = len(heap)
+        is_[I_MIGRATIONS] = state.migrations
+        is_[I_RETRIES : I_DEESC + 1] = [getattr(chaos, c) for c in _KERNEL_COUNTERS]
+        ip[Q_L] = L
+        ip[Q_MIGRANTS] = len(migrants)
+
+        # Replica state, in the kernel's packed layouts.
+        key = tuple(id(r.tables) for r in lreps)
+        prices = self._prices.get(key)
+        if prices is None:
+            prices = self._prices[key] = np.concatenate((
+                [r.tables.ref_price for r in lreps],
+                np.reshape([r.tables.price_full for r in lreps], -1),
+                np.reshape([r.tables.svc for r in lreps], -1),
+            )).astype(np.float64)
+        rf = np.array([
+            [r.busy_until for r in lreps],
+            [r.busy_ms for r in lreps],
+            [r.slowdown for r in lreps],
+            [math.inf if r.next_dl is None else r.next_dl for r in lreps],
+            [r.breaker.open_until_ms if r.breaker else 0.0 for r in lreps],
+        ], dtype=np.float64).reshape(5, L)
+        ri = np.zeros(7 * L, dtype=np.int64)
+        ri[:L] = [r.batches for r in lreps]
+        ri[L : 2 * L] = [r.requests for r in lreps]
+        br = ri[2 * L :].reshape(L, 5)
+        li = np.zeros(L + 3 * L * B, dtype=np.int32)
+        order_n = li[:L]
+        depth, order, seen = li[L:].reshape(3, L, B)
         qidx = np.zeros((L, B, M), dtype=np.int64)
         qenq = np.zeros((L, B, M), dtype=np.float64)
-        seen = np.zeros((L, B), dtype=np.uint8)
-        order = np.zeros((L, B), dtype=np.int32)
-        order_n = np.zeros(L, dtype=np.int32)
-        next_dl = np.full(L, np.inf, dtype=np.float64)
         for k, rep in enumerate(lreps):
             order_n[k] = len(rep.order)
             order[k, : order_n[k]] = rep.order
@@ -1066,39 +954,102 @@ class ColumnarFleetEngine:
                 depth[k, b] = len(queue)
                 if queue:
                     qidx[k, b, : len(queue)], qenq[k, b, : len(queue)] = zip(*queue)
-            if rep.next_dl is not None:
-                next_dl[k] = rep.next_dl
-        bucket_value = self._bucket_value_col
-        due_dl = np.empty(B, dtype=np.float64)
-        due_bv = np.empty(B, dtype=np.int64)
-        due_b = np.empty(B, dtype=np.int64)
-        done_log = np.empty((hi - lo) + int(depth.sum()), dtype=np.int64)
-        logging = self._logging
-        done_enq = np.empty(cap, dtype=np.float64) if logging else None
-        log_ints = np.empty((cap, 4), dtype=np.int32) if logging else None
-        log_times = np.empty((cap, 3), dtype=np.float64) if logging else None
-        counts = np.zeros(2, dtype=np.int64)
         rids = np.array([r.replica_id for r in lreps], dtype=np.int64)
+        slot_of = {rid: k for k, rid in enumerate(rids.tolist())}
+        qhedge = None
+        if policy.hedge:
+            qhedge = np.full((L, B, M), -1, dtype=np.int32)
+            for (rid, idx), (twin, b) in state.hedge.items():
+                k = slot_of[rid]
+                pos = [q for q, _ in lreps[k].queues[b]].index(idx)
+                primary = (rid, idx) in state.hedge_primary
+                qhedge[k, b, pos] = 2 * slot_of[twin] + primary
+        br_recent = None
+        if policy.breaker:
+            br_recent = np.zeros((L, policy.breaker_window), dtype=np.uint8)
+            for k, rep in enumerate(lreps):
+                breaker = rep.breaker
+                n = len(breaker.recent)
+                br[k] = (
+                    _BREAKER_CODE[breaker.state], breaker.probes_left, n,
+                    breaker.opens, breaker.closes,
+                )
+                br_recent[k, :n] = breaker.recent
+        h_due = h_key = None
+        if policy.max_retries > 0:
+            # Room for every request the heap can hold: each pending one
+            # plus each arrival of the span, once.
+            h_due = np.empty(len(heap) + (hi - lo), dtype=np.float64)
+            h_key = np.empty((len(heap) + (hi - lo), 3), dtype=np.int64)
+            if heap:
+                h_due[: len(heap)] = [entry[0] for entry in heap]
+                h_key[: len(heap)] = [entry[1:] for entry in heap]
+        moved = np.array(migrants, dtype=np.int64) if migrants else None
 
-        written = 0
-        pos = lo
-        while pos < hi:
-            end = min(pos + SWEEP_CHUNK, hi)
-            lib.arrival_run(
-                pos, end,
-                self.prep.arrival, self.prep.bucket_idx, self.prep.slo,
-                L, B, M,
-                self.wait, self.factor, self.prep.uniform_slo,
-                busy_until, busy_ms, batches, served,
-                price_full, ref_price, svc, slowdown,
-                depth.reshape(-1), qidx.reshape(-1), qenq.reshape(-1),
-                seen.reshape(-1), order.reshape(-1), order_n,
-                next_dl, bucket_value,
-                shed, finish,
-                done_log[written:], done_enq, log_ints, log_times, counts,
-                due_dl, due_bv, due_b,
+        # Logs.  A call completes or finally sheds each of its arrivals,
+        # queued requests, migrants and pending retries at most once.
+        bound = (hi - lo) + int(depth.sum()) + len(migrants) + len(heap)
+        done_log = np.empty(bound, dtype=np.int64)
+        # Sheds other than arrivals of an all-off run go to a log.
+        logged_sheds = policy.enabled or bool(migrants)
+        shed_log = np.empty(bound, dtype=np.int64) if logged_sheds else None
+        logging = self._logging
+        done_enq = log_ints = log_times = None
+        ev_i = ev_t = None
+        events: Optional[list] = [] if logged_sheds and self.obs is not None else None
+        if events is not None:
+            # The kernel stops early rather than overflow it; any size that
+            # holds the migrants' and one step's events works.
+            room = L * (B + 1) + len(policy.brownout_levels) + 4
+            is_[I_EV_CAP] = (
+                2 * min(hi - lo + len(heap), SWEEP_CHUNK) + 4 * room
+                + len(migrants) * (B + 2)
             )
-            count, flushes = int(counts[0]), int(counts[1])
+            ev_i = np.empty((is_[I_EV_CAP], 3), dtype=np.int32)
+            ev_t = np.empty(is_[I_EV_CAP], dtype=np.float64)
+
+        state_ptrs = [
+            _ptr(a) for a in (
+                prices, rf, ri, li, qidx, qenq, qhedge, br_recent,
+            )
+        ]
+        done_at, shed_at = _ptr(done_log), _ptr(shed_log)
+        tail_ptrs = [_ptr(a) for a in (h_due, h_key, ev_i, ev_t, moved)]
+        written = 0
+        shed_n = 0
+        pos = lo
+        while True:
+            end = min(pos + SWEEP_CHUNK, hi)
+            last = end == hi
+            queued = L * B * M + int(ip[Q_MIGRANTS]) + int(is_[I_HEAP])
+            cap = (end - pos) + queued
+            if cap > _native.INDEX_LIMIT:
+                raise ValueError(
+                    f"a kernel call over {end - pos} arrivals with up to "
+                    f"{queued} queued or retrying requests exceeds the "
+                    f"kernel's int32 index limit of {_native.INDEX_LIMIT}"
+                )
+            if logging and (log_ints is None or log_ints.shape[0] < cap):
+                done_enq = np.empty(cap, dtype=np.float64)
+                log_ints = np.empty((cap, 4), dtype=np.int32)
+                log_times = np.empty((cap, 3), dtype=np.float64)
+            fp[P_LIMIT] = limit if last else -math.inf
+            ip[Q_INCLUSIVE] = inclusive and last
+            ip[Q_ADVANCE] = advance and last
+            lib.arrival_run(
+                pos, end, fv.ctypes.data, iv.ctypes.data, *self._static,
+                *state_ptrs, done_at + 8 * written,
+                _ptr(done_enq), _ptr(log_ints), _ptr(log_times),
+                None if shed_at is None else shed_at + 8 * shed_n,
+                *tail_ptrs,
+            )
+            ip[Q_MIGRANTS] = 0  # placed; a resumed call must not repeat them
+            if is_[I_ERROR]:
+                raise RuntimeError(
+                    f"hedged twin of request {int(is_[I_ERROR]) - 1} was not "
+                    f"cancellable — hedge bookkeeping out of sync"
+                )
+            count, flushes = int(is_[I_DONE]), int(is_[I_FLUSHES])
             if logging and flushes:
                 log = _Batches.of(
                     log_ints[:flushes], log_times[:flushes],
@@ -1107,132 +1058,76 @@ class ColumnarFleetEngine:
                 )
                 acc.logged.append(log._replace(rid=rids[log.rid]))
             written += count
-            pos = end
+            shed_n += int(is_[I_SHEDS])
+            if events is not None and is_[I_EVENTS]:
+                ev = ev_i[: is_[I_EVENTS]].copy()
+                breaker_rows = ev[:, 0] == _native.EV_BREAKER
+                ev[breaker_rows, 1] = rids[ev[breaker_rows, 1]]
+                events.extend(zip(*ev.T.tolist(), ev_t[: is_[I_EVENTS]].tolist()))
+            pos = int(is_[I_STOP])
+            if last and is_[I_FINISHED]:
+                break
         done = done_log[:written].copy()
-        acc.done_parts.append((done, finish[done]))
+        acc.done_parts.append((done, self._finish_scratch[done]))
 
-        for k, rep in enumerate(lreps):
-            rep.busy_until = float(busy_until[k])
-            rep.busy_ms = float(busy_ms[k])
-            rep.batches = int(batches[k])
-            rep.requests = int(served[k])
-            rep.order = order[k, : order_n[k]].tolist()
-            rep.seen = seen[k].astype(bool).tolist()
-            rep.queues = [
-                list(zip(qidx[k, b, :d].tolist(), qenq[k, b, :d].tolist()))
-                for b, d in enumerate(depth[k].tolist())
-            ]
-            rep.pending = int(depth[k].sum())
-            nd = float(next_dl[k])
-            rep.next_dl = None if math.isinf(nd) else nd
-        return np.flatnonzero(shed[lo:hi]).astype(np.int64, copy=False) + lo
-
-    # ------------------------------------------------------------------
-    # per-arrival request path: Fleet.submit's loop around chaos.admit
-    # ------------------------------------------------------------------
-    def _run_arrivals_python(
-        self, state: ColumnarFleetState, lo: int, hi: int, acc: _Accum
-    ) -> None:
-        """Per-arrival Python sweep, retries interleaved on the clock.
-
-        The reference the C kernel is tested against.  A retry due
-        strictly before an arrival fires first; one due at the same
-        instant fires after every arrival of that instant — the event
-        loop's ``_ARRIVAL < _RETRY`` kind ordering.
-        """
-        arrival = self.prep.arrival
-        if self.obs is not None:
-            self.obs.on_arrivals(arrival[lo:hi])
-        accrue = self.policy.max_retries > 0
-        budget = state.budget
-        heap = state.retry_heap
-        heappop = heapq.heappop
-        step = 1 << 20
-        pos = lo
-        while pos < hi:
-            end = min(pos + step, hi)
-            ts = arrival[pos:end].tolist()
-            for k2 in range(end - pos):
-                t = ts[k2]
-                while heap and heap[0][0] < t:
-                    due, _seq, idx, attempt = heappop(heap)
-                    self._advance(state, due, acc)
-                    self._attempt(state, idx, attempt, due, acc)
-                self._advance(state, t, acc)
-                if accrue:
-                    budget.accrue()
-                self._attempt(state, pos + k2, 0, t, acc)
-            pos = end
-
-    def _fire_retries(
-        self,
-        state: ColumnarFleetState,
-        acc: _Accum,
-        limit: float,
-        inclusive: bool,
-    ) -> None:
-        """Fire scheduled retries up to ``limit`` (their due instants).
-
-        ``inclusive`` matches the event-kind ordering against the control
-        event being processed: retries at a tick's instant precede the
-        tick (``_RETRY < _TICK``) but follow fail/recover/gray events.
-        """
-        heap = state.retry_heap
-        heappop = heapq.heappop
-        while heap and (heap[0][0] <= limit if inclusive else heap[0][0] < limit):
-            due, _seq, idx, attempt = heappop(heap)
-            self._advance(state, due, acc)
-            self._attempt(state, idx, attempt, due, acc)
-
-    def _attempt(
-        self,
-        state: ColumnarFleetState,
-        idx: int,
-        attempt: int,
-        now: float,
-        acc: _Accum,
-    ) -> None:
-        """One admission attempt, decided by :func:`~repro.fleet.chaos.admit`.
-
-        A shed becomes a backoff retry while
-        :func:`~repro.fleet.chaos.retry_delay` grants one.
-        """
-        policy = self.policy
-        # One SLO for the whole trace skips the numpy gather, as in the kernel.
-        slo = self.prep.uniform_slo or float(self.prep.slo[idx])
-        reason, best, hedge_to = admit(
-            policy, state.live, self._projection, now, slo, self.factor,
-            state.brownout, state.chaos, self.obs,
+        busy_until, busy_ms, _, next_dl, br_until = rf.tolist()
+        counts = ri[: 2 * L].tolist()
+        rows = zip(
+            order_n.tolist(), order.tolist(), (seen != 0).tolist(),
+            depth.tolist(), qidx.tolist(), qenq.tolist(),
         )
-        if reason is not None:
-            delay = retry_delay(
-                policy, state.budget, state.chaos, self.prep.seed, idx, attempt
-            )
-            if delay is not None:
-                heapq.heappush(
-                    state.retry_heap, (now + delay, state.retry_seq, idx, attempt + 1)
-                )
-                state.retry_seq += 1
-                return
-            acc.shed_idx_py.append(idx)
-            acc.shed_code_py.append(SHED_CODE_OF_REASON[reason])
-            if self.obs is not None:
-                self.obs.on_shed(now, reason)
-            return
-        b = int(self.prep.bucket_idx[idx])
-        flushed = self._enqueue(best, b, idx, now, acc)
-        if self.track_hist and (state.min_slo is None or slo < state.min_slo):
-            state.min_slo = slo
-        if hedge_to is not None and not flushed:
-            # Bookkeeping before the twin enqueue: the twin itself may
-            # flush immediately and win on the spot (cancelling the
-            # still-queued primary through _flush).
-            primary_key = (best.replica_id, idx)
-            state.hedge[primary_key] = (hedge_to.replica_id, b)
-            state.hedge[(hedge_to.replica_id, idx)] = (best.replica_id, b)
-            state.hedge_primary.add(primary_key)
-            state.chaos.hedges += 1
-            self._enqueue(hedge_to, b, idx, now, acc)
+        for k, (rep, (n, order_k, seen_k, depth_k, idx_k, enq_k)) in enumerate(
+            zip(lreps, rows)
+        ):
+            rep.busy_until = busy_until[k]
+            rep.busy_ms = busy_ms[k]
+            rep.batches = counts[k]
+            rep.requests = counts[L + k]
+            rep.order = order_k[:n]
+            rep.seen = seen_k
+            rep.queues = [
+                list(zip(idx_k[b][:d], enq_k[b][:d])) for b, d in enumerate(depth_k)
+            ]
+            rep.pending = sum(depth_k)
+            rep.next_dl = None if math.isinf(next_dl[k]) else next_dl[k]
+        if qhedge is not None:
+            queued = np.arange(M) < depth[:, :, None]
+            state.hedge = {}
+            state.hedge_primary = set()
+            for k, b, j in zip(*np.nonzero((qhedge >= 0) & queued)):
+                key = (int(rids[k]), int(qidx[k, b, j]))
+                mark = int(qhedge[k, b, j])
+                state.hedge[key] = (int(rids[mark >> 1]), int(b))
+                if mark & 1:
+                    state.hedge_primary.add(key)
+        if br_recent is not None:
+            for k, rep in enumerate(lreps):
+                breaker = rep.breaker
+                code, probes, n, opens, closes = br[k].tolist()
+                breaker.state = _BREAKER_STATES[code]
+                breaker.probes_left = probes
+                breaker.recent = [bool(x) for x in br_recent[k, :n]]
+                breaker.opens = opens
+                breaker.closes = closes
+                breaker.open_until_ms = br_until[k]
+        if h_due is not None:
+            n = int(is_[I_HEAP])
+            state.retry_heap = list(zip(h_due[:n].tolist(), *h_key[:n].T.tolist()))
+        tokens, min_slo, change, now = fs.tolist()
+        state.budget.tokens = tokens
+        state.min_slo = None if math.isinf(min_slo) else min_slo
+        if ladder is not None:
+            ladder.level = int(is_[I_LEVEL])
+            ladder.last_change_ms = change
+        state.now = now
+        state.retry_seq = int(is_[I_SEQ])
+        state.migrations = int(is_[I_MIGRATIONS])
+        for name, value in zip(_KERNEL_COUNTERS, is_[I_RETRIES : I_DEESC + 1].tolist()):
+            setattr(chaos, name, value)
+        if shed_log is not None:
+            return shed_log[:shed_n].copy(), events
+        shed = self._shed_scratch[lo:hi]
+        return np.flatnonzero(shed).astype(np.int64, copy=False) + lo, None
 
     # ------------------------------------------------------------------
     # windows, drain, report
@@ -1246,7 +1141,6 @@ class ColumnarFleetEngine:
     ) -> ShardPartial:
         """Process one time window: arrivals [alo, ahi) + control events."""
         acc = _Accum()
-        self._cur_state = state
         arrival = self.prep.arrival
         pos = alo
         for event in events:
@@ -1256,13 +1150,10 @@ class ColumnarFleetEngine:
             # every other control kind precedes arrivals at its instant).
             side = "right" if kind > _ARRIVAL else "left"
             j = int(np.searchsorted(arrival[pos:ahi], time_ms, side=side)) + pos
-            self._run_arrivals(state, pos, j, acc)
+            self._sweep(
+                state, acc, pos, j, time_ms, inclusive=kind == _TICK, advance=True
+            )
             pos = j
-            # Retries due before this event fire first; ones due *at* its
-            # instant precede only a tick (_RETRY < _TICK, but
-            # recover/gray/fail kinds < _RETRY).
-            self._fire_retries(state, acc, time_ms, inclusive=kind == _TICK)
-            self._advance(state, time_ms, acc)
             if kind == _TICK:
                 self._tick(state, time_ms, acc)
             elif kind == _FAIL:
@@ -1283,8 +1174,8 @@ class ColumnarFleetEngine:
                 self._recover(state, event[3], time_ms)
             if time_ms > state.now:
                 state.now = time_ms
-        self._run_arrivals(state, pos, ahi, acc)
-        return self._close(state, acc)
+        self._sweep(state, acc, pos, ahi)
+        return acc.to_partial()
 
     def drain_retries(self, state: ColumnarFleetState) -> ShardPartial:
         """Fire every retry still scheduled past the last window's events.
@@ -1294,29 +1185,19 @@ class ColumnarFleetEngine:
         before the final queue drain.
         """
         acc = _Accum()
-        self._cur_state = state
-        self._fire_retries(state, acc, math.inf, inclusive=True)
-        return self._close(state, acc)
+        end = self.prep.num_requests
+        self._sweep(state, acc, end, end, math.inf, inclusive=True)
+        return acc.to_partial()
 
     def drain(self, state: ColumnarFleetState) -> ShardPartial:
-        """``Fleet.drain``: flush remaining queues, all replicas, id order."""
-        acc = _Accum()
-        self._cur_state = state
-        for rep in state.replicas:
-            if rep.pending == 0:
-                continue
-            now = state.now
-            while rep.pending:
-                deadline = rep.next_dl
-                now = max(now, deadline)
-                self._fire_dues(rep, now, acc)
-            rep.next_dl = None
-        return self._close(state, acc)
+        """``Fleet.drain``: flush every remaining queue at its deadline.
 
-    def _close(self, state: ColumnarFleetState, acc: _Accum) -> ShardPartial:
-        """Post-pass the batches still logged, then hand off the partial."""
-        self._post_pass(state, acc)
-        self._cur_state = None
+        Replicas in id order, each bucket in ``(deadline, bucket)`` order
+        — what advancing to an infinite clock does.
+        """
+        acc = _Accum()
+        end = self.prep.num_requests
+        self._sweep(state, acc, end, end, math.inf, inclusive=True, advance=True)
         return acc.to_partial()
 
     def finalize(
@@ -1355,10 +1236,9 @@ class ColumnarFleetEngine:
         ]
         chaos = None
         if prep.chaos_active:
-            # Breaker transitions were counted inside each breaker (no
-            # shared counter is reachable from _flush); the rollup here
-            # equals the event loop's live tally — observe() increments
-            # its own opens/closes alongside the fleet's.
+            # Breaker transitions are counted per breaker (the kernel
+            # carries them in its breaker arrays); the rollup here equals
+            # the event loop's live tally.
             chaos = state.chaos
             for rep in state.replicas:
                 if rep.breaker is not None:
@@ -1496,6 +1376,35 @@ def _run_windows_in_processes(engine, state, windows):
     return partials, state
 
 
+def _kernel_wanted(native: Optional[bool]) -> bool:
+    """Whether a run takes the C kernel (else the analytic event loop).
+
+    See :func:`run_scenario_columnar`'s ``native``; an unavailable kernel
+    raises when required and is recorded as a warning when auto-detected.
+    """
+    if native is None:
+        setting = os.environ.get("REPRO_COLUMNAR_NATIVE")
+        if setting == "0":
+            return False
+        native = True if setting == "1" else None
+    if native is False:
+        return False
+    if _native.available():
+        return True
+    if native:
+        raise RuntimeError(
+            f"the columnar C kernel is required but unavailable: "
+            f"{_native.build_error()}"
+        )
+    warnings.warn(
+        f"the columnar C kernel is unavailable ({_native.build_error()}); "
+        "running the analytic event loop, whose reports are byte-identical",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return False
+
+
 def run_scenario_columnar(
     scenario: Union[str, Scenario, ColumnarTrace, Sequence[FleetRequest]],
     model,
@@ -1520,9 +1429,12 @@ def run_scenario_columnar(
     Same arguments as :func:`repro.fleet.runner.run_scenario`, same
     report — byte-identical ``render()`` and ``to_json()`` output for
     equal inputs (the differential suite pins this against the
-    event-loop analytic engine on every scenario class).  The model's weights are never touched: the columnar engine
-    is inherently analytic, pricing every batch from the accelerator
-    simulator's memoized schedule, exactly like ``analytic=True``.
+    event-loop analytic engine on every scenario class).  The model's
+    weights are never touched: the columnar engine is inherently
+    analytic, pricing every batch from the accelerator simulator's
+    memoized schedule, exactly like ``analytic=True``.  Every sweep,
+    resilient or not, runs in the C kernel; without one the run goes to
+    that analytic event loop instead.
 
     Args:
         scenario: Built-in name, :class:`Scenario`,
@@ -1542,13 +1454,16 @@ def run_scenario_columnar(
         shard_processes: Run each window in a forked subprocess (state
             crosses via pickle; sequential, determinism demo — see
             ``docs/scaling.md``).
-        native: Force the C kernel on/off; default auto-detects.  Results
-            are identical either way.  Runs with a resilience mechanism
-            on always take the per-arrival Python path.
+        native: ``True`` requires the C kernel, ``False`` runs the
+            analytic event loop.  ``None`` reads ``REPRO_COLUMNAR_NATIVE``
+            (``1`` requires, ``0`` turns the kernel off) and otherwise
+            auto-detects, falling back to the event loop with a
+            :class:`RuntimeWarning` that names
+            :func:`repro.fleet._native.build_error`.  Results are
+            identical either way.
         obs: Optional :class:`repro.obs.FleetObserver`.  Never changes a
             report byte; metric streams are byte-identical to the
-            event-loop runner's at any shard count, on the C kernel or
-            the per-arrival Python path alike.
+            event-loop runner's at any shard count.
         chaos: Optional :class:`~repro.fleet.chaos.ChaosPlan` — same
             semantics as the event-loop runner's parameter (fail-stops,
             zone outages, gray windows).
@@ -1562,10 +1477,20 @@ def run_scenario_columnar(
         The :class:`FleetReport`.
 
     Raises:
-        RuntimeError: If ``native=True`` asks for the C kernel on a run
-            without a resilience mechanism and the kernel cannot be
-            built; the message carries :func:`repro.fleet._native.build_error`.
+        RuntimeError: If the C kernel is required (``native=True`` or
+            ``REPRO_COLUMNAR_NATIVE=1``) and cannot be built; the message
+            carries :func:`repro.fleet._native.build_error`.
+        ValueError: If ``shards < 1``.
     """
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    if not _kernel_wanted(native):
+        return run_scenario(
+            scenario, model, tokenizer, specs, fleet_config,
+            autoscale=autoscale, scale_spec=scale_spec, failures=failures,
+            seed=seed, rate_scale=rate_scale, duration_scale=duration_scale,
+            analytic=True, obs=obs, chaos=chaos, resilience=resilience,
+        )
     obs = obs or None
     grays: Sequence[GrayWindow] = ()
     if chaos is not None:
@@ -1587,7 +1512,7 @@ def run_scenario_columnar(
         resilience=resilience,
         chaos_active=chaos is not None or resilience is not None,
     )
-    engine = ColumnarFleetEngine(prep, use_native=native, obs=obs)
+    engine = ColumnarFleetEngine(prep, obs=obs)
     state = engine.initial_state()
     windows = shard_windows(prep, shards)
     if shard_processes:

@@ -27,7 +27,7 @@ from .autoscale import AutoscalePolicy, Autoscaler
 from .chaos import ChaosPlan, ResiliencePolicy
 from .fleet import Fleet, FleetConfig, ReplicaSpec
 from .metrics import FleetStats, build_fleet_stats
-from .scenarios import FleetRequest, Scenario, builtin_scenarios
+from .scenarios import ColumnarTrace, FleetRequest, Scenario, builtin_scenarios
 
 # event kinds, in same-timestamp processing order
 _RECOVER, _GRAY_END, _FAIL, _GRAY_START, _ARRIVAL, _RETRY, _TICK = range(7)
@@ -140,7 +140,7 @@ class FleetReport:
 
 
 def run_scenario(
-    scenario: Union[str, Scenario, Sequence[FleetRequest]],
+    scenario: Union[str, Scenario, ColumnarTrace, Sequence[FleetRequest]],
     model,
     tokenizer,
     specs: List[ReplicaSpec],
@@ -160,7 +160,10 @@ def run_scenario(
 
     Args:
         scenario: A built-in scenario name, a :class:`Scenario`, or an
-            already generated trace (a sequence of :class:`FleetRequest`).
+            already generated trace: a
+            :class:`~repro.fleet.scenarios.ColumnarTrace` (which carries
+            its own name, horizon and seed) or a sequence of
+            :class:`FleetRequest`.
         model: Frozen integer model shared by every replica.
         tokenizer: Tokenizer shared by every replica.
         specs: Initial replica design points.
@@ -169,7 +172,8 @@ def run_scenario(
             fleet).
         scale_spec: Design point for scale-up replicas (default: first spec).
         failures: Planned replica failures/recoveries.
-        seed: Trace seed (ignored when ``scenario`` is a pre-built trace).
+        seed: Trace seed (ignored for a pre-built request sequence; a
+            columnar trace's own seed replaces it).
         rate_scale: Rate multiplier passed to scenario generation.
         duration_scale: Duration multiplier passed to scenario generation.
         analytic: Force latency-only execution on every replica (see
@@ -218,6 +222,9 @@ def run_scenario(
         trace = scenario.generate(
             seed=seed, rate_scale=rate_scale, duration_scale=duration_scale
         )
+    elif isinstance(scenario, ColumnarTrace):
+        name, duration_ms, seed = scenario.name, scenario.duration_ms, scenario.seed
+        trace = scenario.materialize()
     else:
         trace = sorted(scenario, key=lambda r: r.arrival_ms)
         name = "custom-trace"

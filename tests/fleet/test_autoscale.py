@@ -8,6 +8,7 @@ from repro.fleet import (
     Fleet,
     run_scenario,
 )
+from repro.fleet.autoscale import tick_signals
 
 
 class TestPolicyValidation:
@@ -50,9 +51,14 @@ class TestSignals:
         fleet = Fleet(cluster_model, hash_tokenizer, [weak_spec], fleet_config)
         scaler = Autoscaler(fleet, AutoscalePolicy(interval_ms=10.0))
         fleet.advance(10.0)
-        assert scaler.window_utilization(10.0) == 0.0
-        assert scaler.window_p99_over_slo(10.0) == 0.0
+        assert scaler.window_signals(10.0) == (0.0, 0.0)
         assert scaler.queue_depth() == 0
+
+    def test_tick_signals_read_zero_on_empty_inputs(self):
+        assert tick_signals(0.0, 5.0, 2, [10.0], 20.0) == (0.0, 0.5)
+        assert tick_signals(10.0, 5.0, 0, [], 20.0) == (0.0, 0.0)
+        assert tick_signals(10.0, 50.0, 2, [10.0], None) == (1.0, 0.0)
+        assert tick_signals(10.0, 5.0, 2, [10.0, 30.0], 10.0)[0] == 0.25
 
     def test_no_scaling_when_idle(
         self, cluster_model, hash_tokenizer, weak_spec, fleet_config

@@ -503,6 +503,20 @@ class TestDifferentialChaosMatrix:
         assert chaos.retries > 0
         assert chaos.breaker_opens > 0
 
+    def test_outage_of_the_whole_fleet_retries(self, cluster_model, hash_tokenizer,
+                                              weak_spec, fleet_config):
+        """With no live replica every attempt sheds no-capacity; a retry
+        policy turns each of those into a scheduled retry instead."""
+        from repro.fleet import FailureEvent
+
+        report = _run_pair(
+            "steady", cluster_model, hash_tokenizer, [weak_spec], fleet_config,
+            2, failures=(FailureEvent(replica_id=0, fail_ms=100.0, recover_ms=160.0),),
+            resilience=ResiliencePolicy(max_retries=3, backoff_base_ms=20.0),
+            seed=7, rate_scale=1.0, duration_scale=0.5,
+        )
+        assert report.stats.chaos.retries > 0
+
     def test_chaos_section_only_when_active(self, cluster_model, hash_tokenizer,
                                             hetero_specs, fleet_config):
         plain = run_scenario(

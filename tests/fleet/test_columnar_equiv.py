@@ -4,9 +4,9 @@ The columnar engine's whole contract is *byte-identical* reports — not
 statistically close, identical.  Every test here renders both engines'
 reports to their stable JSON and human-readable forms and compares the
 bytes, across every scenario class x {autoscale on/off, failures on/off},
-across the per-arrival Python path (the columnar engine's one Python
-admission rule) and the runtime-compiled C kernel, and across every
-input form the runner accepts.
+across the runtime-compiled C kernel and the pure-Python event loop a
+run without it falls back to, and across every input form the runner
+accepts.
 """
 
 import pytest
@@ -16,11 +16,13 @@ from repro.fleet import (
     AutoscalePolicy,
     FailureEvent,
     ReplicaSpec,
+    ResiliencePolicy,
     builtin_scenarios,
     native_available,
     run_scenario,
     run_scenario_columnar,
 )
+from repro.fleet.columnar import ColumnarFleetEngine, shard_windows
 from repro.fleet.scenarios import SCENARIO_NAMES
 
 AUTOSCALE = AutoscalePolicy(
@@ -72,15 +74,22 @@ class TestScenarioMatrix:
 
 
 class TestSweepImplementations:
-    """The C kernel and the per-arrival Python path are the same function."""
+    """The C kernel and the Python sweep — the event loop — agree."""
 
     def test_python_sweep_matches_event_loop(
-        self, cluster_model, hash_tokenizer, hetero_specs, fleet_config
+        self, monkeypatch, cluster_model, hash_tokenizer, hetero_specs,
+        fleet_config,
     ):
         ref = run_scenario(
             "flash-crowd", cluster_model, hash_tokenizer, hetero_specs,
             fleet_config, analytic=True, seed=4, rate_scale=0.5,
         )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("native=False built the columnar engine")
+
+        # native=False hands the whole run to the event loop.
+        monkeypatch.setattr(ColumnarFleetEngine, "__init__", refuse)
         got = run_scenario_columnar(
             "flash-crowd", cluster_model, hash_tokenizer, hetero_specs,
             fleet_config, seed=4, rate_scale=0.5, native=False,
@@ -96,11 +105,11 @@ class TestSweepImplementations:
             "multi-tenant", cluster_model, hash_tokenizer, hetero_specs,
             fleet_config, native=True, **kw,
         )
-        without = run_scenario_columnar(
+        event_loop = run_scenario(
             "multi-tenant", cluster_model, hash_tokenizer, hetero_specs,
-            fleet_config, native=False, **kw,
+            fleet_config, analytic=True, **kw,
         )
-        assert with_native.to_json() == without.to_json()
+        assert with_native.to_json() == event_loop.to_json()
 
 
 class TestInputForms:
@@ -153,14 +162,17 @@ class TestInputForms:
 class TestPostPass:
     """The post-pass that turns sweep columns into autoscaler inputs."""
 
-    @pytest.mark.parametrize("native", [False, True], ids=["python", "kernel"])
+    @pytest.mark.skipif(not native_available(), reason="no C compiler")
+    @pytest.mark.parametrize(
+        "resilience", [None, ResiliencePolicy(max_retries=3, backoff_base_ms=40.0)],
+        ids=["kernel", "retries"],
+    )
     def test_min_slo_is_tightest_accepted_slo(
-        self, native, cluster_model, hash_tokenizer, hetero_specs, fleet_config
+        self, resilience, cluster_model, hash_tokenizer, hetero_specs,
+        fleet_config,
     ):
-        if native and not native_available():
-            pytest.skip("no C compiler")
         from repro.fleet import FleetRequest
-        from repro.fleet.columnar import ColumnarFleetEngine, _prepare, shard_windows
+        from repro.fleet.columnar import _prepare
 
         # Loose-SLO traffic first; the tight tenant only arrives after
         # several ticks have split the trace into separate sweeps.
@@ -174,14 +186,18 @@ class TestPostPass:
         prep = _prepare(
             trace, cluster_model, hash_tokenizer, hetero_specs, fleet_config,
             AutoscalePolicy(min_replicas=2, max_replicas=3, interval_ms=20.0),
-            None, (), 0, 1.0, 1.0,
+            None, (), 0, 1.0, 1.0, resilience=resilience,
         )
-        engine = ColumnarFleetEngine(prep, use_native=native)
+        engine = ColumnarFleetEngine(prep)
         state = engine.initial_state()
         partials = [
             engine.run_window(state, alo, ahi, events)
             for alo, ahi, events in shard_windows(prep, 2)
         ]
-        shed = {int(i) for p in partials for i in p.shed_idx}
-        accepted = [r.slo_ms for i, r in enumerate(trace) if i not in shed]
-        assert state.min_slo == min(accepted) == 40.0
+        # A request whose retry is still pending has not been admitted.
+        unadmitted = {int(i) for p in partials for i in p.shed_idx}
+        unadmitted |= {idx for _, _, idx, _ in state.retry_heap}
+        accepted = [r.slo_ms for i, r in enumerate(trace) if i not in unadmitted]
+        assert state.min_slo == min(accepted)
+        if resilience is None:
+            assert state.min_slo == 40.0

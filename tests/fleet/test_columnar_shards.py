@@ -21,6 +21,7 @@ from repro.fleet import (
     FleetRequest,
     ShardPartial,
     merge_shard_partials,
+    native_available,
     run_scenario_columnar,
 )
 from repro.fleet.columnar import ColumnarFleetEngine, shard_windows, _prepare
@@ -159,6 +160,7 @@ class TestShardInvariance:
             shard_processes=True,
         )
 
+    @pytest.mark.skipif(not native_available(), reason="no C compiler")
     def test_worker_error_surfaces(
         self, monkeypatch, cluster_model, hash_tokenizer, weak_spec, fleet_config
     ):
@@ -172,6 +174,7 @@ class TestShardInvariance:
         ):
             self._run_forked(cluster_model, hash_tokenizer, weak_spec, fleet_config)
 
+    @pytest.mark.skipif(not native_available(), reason="no C compiler")
     def test_worker_exit_surfaces(
         self, monkeypatch, cluster_model, hash_tokenizer, weak_spec, fleet_config
     ):

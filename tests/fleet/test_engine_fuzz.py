@@ -1,22 +1,26 @@
-"""Randomised cross-engine differential: three engines, one report.
+"""Randomised cross-engine differential: two engines, one report.
 
 The hand-picked matrices in ``test_columnar_equiv.py`` and
 ``test_chaos.py`` pin chosen corners.  Here hypothesis draws the whole
-configuration — scenario class and rate, a replica mix, an autoscale
-policy with random thresholds, the admission bound, a resilience policy
-(none, the all-off default, or random valid knobs), an optional gray or
-fail-stop plan, and a shard count — and the event-loop analytic engine,
-the columnar engine's per-arrival Python path and its C kernel, each
-with an observer attached, must all render the same ``to_json()``,
+configuration — scenario class and rate, a replica mix, the serving
+knobs (a bucket subset, batch size, batching wait), an autoscale policy
+with random thresholds, the admission bound, a resilience policy (none,
+the all-off default, or random valid knobs), an optional chaos plan of
+gray, fail-stop and zone-outage events, and a shard count — and the
+event-loop analytic engine and the columnar engine's C kernel, each
+with an observer attached, must render the same ``to_json()``,
 Prometheus, window and trace bytes.  Both engines make every admission,
-retry and scaling decision through the same functions, so this guards
-that shared core.  ``derandomize`` keeps the drawn examples fixed from
-run to run.
+retry and scaling decision by the same rules (the kernel compiles
+``chaos.admit`` and ``chaos.retry_delay``), so this guards that shared
+core.  ``derandomize`` keeps the drawn examples fixed from
+run to run; every draw that ever failed is replayed first from
+:mod:`tests.fleet.fuzz_corpus`.
 """
 
 from dataclasses import replace
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.accel import AcceleratorConfig
@@ -31,6 +35,8 @@ from repro.fleet import (
 )
 from repro.fleet.scenarios import SCENARIO_NAMES
 from repro.obs import FleetObserver
+
+from .fuzz_corpus import FAILED_DRAWS
 
 SPECS = {
     "weak": ReplicaSpec(
@@ -101,18 +107,44 @@ FAIL_EVENTS = st.fixed_dictionaries({
     "at_ms": st.floats(0.0, 300.0),
     "recover_ms": st.none() | st.floats(300.0, 600.0, exclude_min=True),
 })
+ZONE_EVENTS = st.fixed_dictionaries({
+    "kind": st.just("zone"),
+    "zone": st.just("z"),
+    "at_ms": st.floats(0.0, 300.0),
+    "recover_ms": st.none() | st.floats(300.0, 600.0, exclude_min=True),
+})
 PLANS = st.none() | st.builds(
-    lambda event: chaos_plan_from_dict({"name": event["kind"], "events": [event]}),
-    GRAY_EVENTS | FAIL_EVENTS,
+    lambda events, members: chaos_plan_from_dict(
+        {"name": "fuzz", "zones": {"z": members}, "events": events}
+    ),
+    st.lists(GRAY_EVENTS | FAIL_EVENTS | ZONE_EVENTS, min_size=1, max_size=3),
+    st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
+)
+
+# (buckets, max_batch_size, max_wait_ms); the model takes 64 positions.
+SERVING = st.tuples(
+    st.sets(st.sampled_from([8, 16, 32, 48, 64]), min_size=1).map(
+        lambda b: tuple(sorted(b))
+    ),
+    st.integers(1, 8),
+    st.just(0.0) | st.floats(0.0, 20.0),
 )
 
 
+def _with_draws(test):
+    for draw in reversed(FAILED_DRAWS):
+        test = example(**draw)(test)
+    return test
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     scenario=st.sampled_from(sorted(SCENARIO_NAMES)),
     rate_scale=_mirrored(1.0, 8.0),
     replicas=st.lists(st.sampled_from(sorted(SPECS)), min_size=1, max_size=3),
+    serving=SERVING,
     autoscale=st.none() | AUTOSCALE,
     admit_slo_factor=_mirrored(0.2, 1.0),
     resilience=POLICIES | st.sampled_from([None, ResiliencePolicy()]),
@@ -120,12 +152,21 @@ PLANS = st.none() | st.builds(
     shards=st.integers(1, 5),
     seed=st.integers(0, 999),
 )
+@_with_draws
 def test_engines_render_the_same_report(
-    scenario, rate_scale, replicas, autoscale, admit_slo_factor, resilience,
-    plan, shards, seed, cluster_model, hash_tokenizer, fleet_config,
+    scenario, rate_scale, replicas, serving, autoscale, admit_slo_factor,
+    resilience, plan, shards, seed, cluster_model, hash_tokenizer, fleet_config,
 ):
     specs = [SPECS[name] for name in replicas]
-    fleet_config = replace(fleet_config, admit_slo_factor=admit_slo_factor)
+    buckets, max_batch_size, max_wait_ms = serving
+    fleet_config = replace(
+        fleet_config,
+        admit_slo_factor=admit_slo_factor,
+        serving=replace(
+            fleet_config.serving, buckets=buckets,
+            max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
+        ),
+    )
     kw = dict(
         autoscale=autoscale,
         scale_spec=specs[0] if autoscale else None,
@@ -150,10 +191,9 @@ def test_engines_render_the_same_report(
         ),
         obs,
     )
-    for native in (False, True) if native_available() else (False,):
-        obs = FleetObserver()
-        got = run_scenario_columnar(
-            scenario, cluster_model, hash_tokenizer, specs, fleet_config,
-            shards=shards, native=native, obs=obs, **kw,
-        )
-        assert artifacts(got, obs) == reference, f"native={native}"
+    obs = FleetObserver()
+    got = run_scenario_columnar(
+        scenario, cluster_model, hash_tokenizer, specs, fleet_config,
+        shards=shards, native=True, obs=obs, **kw,
+    )
+    assert artifacts(got, obs) == reference

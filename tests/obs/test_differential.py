@@ -31,7 +31,7 @@ from repro.fleet import (
     run_scenario,
     run_scenario_columnar,
 )
-from repro.fleet.columnar import ColumnarFleetEngine
+from repro.fleet import columnar
 from repro.fleet.scenarios import SCENARIO_NAMES
 from repro.obs import FleetObserver, NullObserver
 
@@ -244,10 +244,10 @@ GRAY = ChaosPlan(
 class TestKernelTakesWatchedRuns:
     """Observed, autoscaled and gray runs take the C kernel, byte-exactly.
 
-    The per-arrival Python path is the reference: the kernel run must
-    match it on the report and on every stream, and it must not touch
-    the Python path at all.  The load is heavy enough to shed, scale up, migrate
-    off the failed replica and feel the gray window.
+    The Python sweep — the event loop — is the reference: the kernel run
+    must match it on the report and on every stream, and must not fall
+    back to it.  The load is heavy enough to shed, scale up, migrate off
+    the failed replica and feel the gray window.
     """
 
     @pytest.mark.parametrize("shards", [1, 2, 5])
@@ -258,11 +258,11 @@ class TestKernelTakesWatchedRuns:
         self, observed, autoscaled, gray, shards, monkeypatch,
         cluster_model, hash_tokenizer, hetero_specs, fleet_config,
     ):
-        def run(native):
+        def run(engine):
             obs = FleetObserver() if observed else None
-            report = run_scenario_columnar(
+            report = engine(
                 "flash-crowd", cluster_model, hash_tokenizer, hetero_specs,
-                fleet_config, native=native, obs=obs, shards=shards,
+                fleet_config, obs=obs,
                 autoscale=AUTOSCALE if autoscaled else None,
                 scale_spec=hetero_specs[0] if autoscaled else None,
                 failures=FAILURES, chaos=GRAY if gray else None,
@@ -270,12 +270,12 @@ class TestKernelTakesWatchedRuns:
             )
             return report.to_json(), _streams(obs) if observed else None
 
-        reference = run(native=False)
+        reference = run(lambda *a, **kw: run_scenario(*a, analytic=True, **kw))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the Python sweep ran with the kernel on")
+            raise AssertionError("the columnar run fell back to the event loop")
 
-        monkeypatch.setattr(
-            ColumnarFleetEngine, "_run_arrivals_python", refuse
-        )
-        assert run(native=True) == reference
+        monkeypatch.setattr(columnar, "run_scenario", refuse)
+        assert run(
+            lambda *a, **kw: run_scenario_columnar(*a, native=True, shards=shards, **kw)
+        ) == reference
