@@ -21,8 +21,9 @@ Shard-partial transport mirrors the columnar engine's ``ShardPartial``:
 forked shard workers call :meth:`FleetObserver.take_partial` (draining
 their live buffers into a picklable payload) and the parent
 :meth:`absorbs <FleetObserver.absorb>` them, merging window accumulators
-by index and concatenating trace events.  The disabled path is ``obs is
-None`` (or the falsy :class:`NullObserver`) — zero work on the hot loop.
+by index and concatenating trace events and batch-span column chunks.
+The disabled path is ``obs is None`` (or the falsy
+:class:`NullObserver`) — zero work on the hot loop.
 """
 
 from __future__ import annotations
@@ -30,13 +31,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from .analysis.alerts import AlertEvaluator, BurnRateRule
 from .analysis.sketch import QuantileSketch, _slot_edges
 from .registry import MetricsRegistry
-from .tracing import Tracer
+from .tracing import Tracer, span_trace_json
 from .windows import WindowTracker, _Win
 
 __all__ = ["FleetObserver", "NullObserver", "ObsPartial"]
+
+# Batch-span columns, in FleetObserver.on_batch's tuple order: replica,
+# bucket, size, start_ms, service_ms, wl, wr, wb, wq.
+_SPAN_DTYPES = (np.int64,) * 3 + (np.float64,) * 6
+_NO_SPANS = tuple(np.empty(0, dtype) for dtype in _SPAN_DTYPES)
 
 
 @dataclass
@@ -45,6 +53,8 @@ class ObsPartial:
 
     windows: Dict[int, _Win] = field(default_factory=dict)
     trace_events: List[dict] = field(default_factory=list)
+    # batch spans as column chunks (see _SPAN_DTYPES), in recording order
+    batch_spans: List[tuple] = field(default_factory=list)
     # earliest replica failure this shard observed (None = none) — the
     # parent folds these with min() for the MTTR gauge
     first_failure_ms: Optional[float] = None
@@ -78,15 +88,20 @@ class FleetObserver:
             stream=windows_stream,
             on_close=self._on_window_close,
         )
-        # Absorbed trace events live apart from the tracer's live buffer:
-        # a forked shard child inherits this master list but only ships
-        # what *it* recorded (tracer.take() drains the live buffer alone),
-        # so nothing is double-counted across forks.
+        # Absorbed trace events and span chunks live apart from the live
+        # buffers: a forked shard child inherits these master lists but
+        # only ships what *it* recorded (take_partial drains the live
+        # buffers alone), so nothing is double-counted across forks.
         self._trace_master: List[dict] = []
-        # Batch spans — the hottest trace stream by far — buffer as raw
-        # tuples and only become trace-event dicts at export time, keeping
-        # dict construction out of the observed run entirely.
-        self._batch_spans: List[tuple] = []
+        self._span_master: List[tuple] = []
+        # Batch spans — the hottest trace stream by far — never become
+        # trace-event dicts: they stay numeric column chunks, in the
+        # order they were recorded, and span_trace_json renders the trace
+        # straight from them.  The event loop's per-batch tuples collect
+        # in _batch_rows and are sealed into one chunk before the next
+        # chunk lands and at export (_seal_rows).
+        self._span_chunks: List[tuple] = []
+        self._batch_rows: List[tuple] = []
         self._first_failure_ms: Optional[float] = None
         self._finalized = False
         # Per-request callbacks bind straight to the tracker methods,
@@ -99,7 +114,7 @@ class FleetObserver:
         self.on_sheds = self.windows.record_sheds
         self.on_completion = self.windows.record_completion
         self.on_completions = self.windows.record_completions
-        self.on_batch = self._batch_spans.append
+        self.on_batch = self._batch_rows.append
 
     def __bool__(self) -> bool:
         return True
@@ -138,10 +153,9 @@ class FleetObserver:
         ``[offset[j], offset[j] + size[j])``.  Records the same window
         completions and :meth:`on_batch` spans as a per-batch loop, from
         the same IEEE operations on the same operands — this is how the
-        columnar engine's post-pass hands over its batch log.
+        columnar engine's post-pass hands over its batch log.  The spans
+        are kept as one column chunk.
         """
-        import numpy as np
-
         fin = np.repeat(finish, size)
         latency = fin - arrival
         self.windows.record_completion_columns(fin, latency, latency <= slo)
@@ -151,11 +165,10 @@ class FleetObserver:
         tied = np.where(arrival == np.repeat(worst_arr, size), enqueue, np.inf)
         worst_enq = np.minimum.reduceat(tied, offset)
         last_enq = np.maximum.reduceat(enqueue, offset)
-        self._batch_spans.extend(zip(
-            replica.tolist(), bucket.tolist(), size.tolist(),
-            start.tolist(), service.tolist(),
-            (finish - worst_arr).tolist(), (worst_enq - worst_arr).tolist(),
-            (last_enq - worst_enq).tolist(), (start - last_enq).tolist(),
+        self._seal_rows()
+        self._span_chunks.append((
+            replica, bucket, size, start, service, finish - worst_arr,
+            worst_enq - worst_arr, last_enq - worst_enq, start - last_enq,
         ))
 
     def on_batch(self, span: tuple) -> None:
@@ -169,14 +182,28 @@ class FleetObserver:
         formation (its enqueue to the batch's last enqueue), ``wq`` queue
         wait (last enqueue to dispatch); ``wl == wr + wb + wq +
         service_ms`` up to float rounding.  It takes the whole tuple so
-        the bound
-        callback can be a bare list append — this fires once per batch,
-        the hottest trace stream, and the trace-event dict is built later
-        by :meth:`_batch_span_events` (export is sorted, so when the
-        dicts materialise does not change a byte).
+        the bound callback can be a bare list append — this fires once
+        per batch, the hottest trace stream.  :meth:`_seal_rows` turns
+        the buffered tuples into one column chunk later (export is
+        sorted, so when that happens does not change a byte).
         """
 
-        self._batch_spans.append(span)
+        self._batch_rows.append(span)
+
+    def _seal_rows(self) -> None:
+        """Move buffered :meth:`on_batch` tuples into one column chunk.
+
+        Clears the buffer in place, so the bound ``on_batch`` append
+        keeps recording into it.
+        """
+
+        rows = self._batch_rows
+        if rows:
+            self._span_chunks.append(tuple(
+                np.array(column, dtype=dtype)
+                for column, dtype in zip(zip(*rows), _SPAN_DTYPES)
+            ))
+            rows.clear()
 
     def _on_window_close(self, index: int, win, sketch, shed_total: int) -> None:
         """One window closed: fold its sketch into the run-level digest
@@ -276,39 +303,11 @@ class FleetObserver:
 
         self.windows.flush(watermark_ms)
 
-    def _batch_span_events(self) -> List[dict]:
-        """Materialise buffered batch spans as trace-event dicts (the same
-        shape :meth:`Tracer.add_span` builds)."""
-
-        return [
-            {
-                "name": "batch",
-                "ph": "X",
-                "ts": float(start_ms) * 1000.0,
-                "dur": float(service_ms) * 1000.0,
-                "pid": 0,
-                "tid": int(replica_id),
-                "args": {
-                    "bucket": int(bucket),
-                    "size": int(size),
-                    "wl": float(wl),
-                    "wr": float(wr),
-                    "wb": float(wb),
-                    "wq": float(wq),
-                },
-            }
-            for replica_id, bucket, size, start_ms, service_ms, wl, wr, wb, wq
-            in self._batch_spans
-        ]
-
     def take_partial(self) -> ObsPartial:
         """Drain live buffers into a picklable partial (shard workers)."""
 
-        events = self.tracer.take() + self._batch_span_events()
-        self._batch_spans = []
-        # on_batch is a bare append bound to the drained list — rebind it
-        # to the fresh buffer or later spans would vanish into the partial.
-        self.on_batch = self._batch_spans.append
+        self._seal_rows()
+        spans, self._span_chunks = self._span_chunks, []
         first_failure, self._first_failure_ms = self._first_failure_ms, None
         run_sketch, self._run_sketch = self._run_sketch, QuantileSketch()
         alerts, self.alerts = self.alerts, AlertEvaluator(
@@ -316,7 +315,8 @@ class FleetObserver:
         )
         return ObsPartial(
             windows=self.windows.take(),
-            trace_events=events,
+            trace_events=self.tracer.take(),
+            batch_spans=spans,
             first_failure_ms=first_failure,
             run_sketch=run_sketch,
             alerts=alerts,
@@ -327,6 +327,7 @@ class FleetObserver:
 
         self.windows.absorb(partial.windows)
         self._trace_master.extend(partial.trace_events)
+        self._span_master.extend(partial.batch_spans)
         t = partial.first_failure_ms
         if t is not None and (
             self._first_failure_ms is None or t < self._first_failure_ms
@@ -596,11 +597,17 @@ class FleetObserver:
         return self.registry.render()
 
     def trace_json(self) -> str:
-        combined = Tracer()
-        combined.events = (
-            self._trace_master + self.tracer.events + self._batch_span_events()
+        self._seal_rows()
+        chunks = [_NO_SPANS, *self._span_master, *self._span_chunks]
+        replica, bucket, size, start, service, wl, wr, wb, wq = (
+            np.concatenate(parts, dtype=dtype)
+            for parts, dtype in zip(zip(*chunks), _SPAN_DTYPES)
         )
-        return combined.to_json()
+        return span_trace_json(
+            self._trace_master + self.tracer.events, "batch", replica,
+            start, service,
+            {"bucket": bucket, "size": size, "wl": wl, "wr": wr, "wb": wb, "wq": wq},
+        )
 
     def window_lines(self) -> List[str]:
         return list(self.windows.lines)

@@ -17,9 +17,11 @@ from __future__ import annotations
 import json
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
-__all__ = ["Tracer"]
+import numpy as np
+
+__all__ = ["Tracer", "span_trace_json"]
 
 _PID = 0  # single simulated process; replicas map to threads
 
@@ -152,3 +154,102 @@ class Tracer:
 
     def to_json(self) -> str:
         return json.dumps(self.to_chrome(), sort_keys=True) + "\n"
+
+
+def _json_texts(values: np.ndarray) -> List[str]:
+    """Each value as ``json.dumps`` writes it, rendering distinct values once."""
+
+    if values.dtype.kind == "f":
+        # distinct by bit pattern: -0.0 == 0.0, but they render apart
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        distinct = bits.view(np.float64)
+    else:
+        distinct, inverse = np.unique(values, return_inverse=True)
+    if not distinct.shape[0]:
+        return []
+    # one C-level dumps for the whole column: float repr, with Infinity,
+    # -Infinity and NaN where repr would write inf and nan
+    text = json.dumps(distinct.tolist())[1:-1].split(", ")
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def span_trace_json(
+    events: List[Dict],
+    name: str,
+    tid: np.ndarray,
+    start_ms: np.ndarray,
+    duration_ms: np.ndarray,
+    args: Mapping[str, np.ndarray],
+) -> str:
+    """The bytes of :meth:`Tracer.to_json` over ``events`` plus one
+    :meth:`Tracer.add_span` per row of the span columns.
+
+    ``tid`` and each of the (one or more) ``args`` columns hold integers
+    or float64s, one entry per span, in the order the spans were recorded
+    (rows tied on every sort field keep it, as the stable event sort
+    does).  No entry of ``events`` may be an ``"X"`` span named ``name``.
+    """
+
+    ts = np.asarray(start_ms, dtype=np.float64) * 1000.0
+    dur = np.asarray(duration_ms, dtype=np.float64) * 1000.0
+    tid = np.asarray(tid, dtype=np.int64)
+    order = np.lexsort((dur, tid, ts))
+    ts, tid, dur = ts[order], tid[order], dur[order]
+    keys = sorted(args)
+    # A row is literals[0] texts[0] literals[1] ... texts[-1] literals[-1]:
+    # sort_keys order, args first.  Each row carries its ", " separator.
+    head = [", " + json.dumps(key) + ": " for key in keys]
+    head[0] = ', {"args": {' + head[0][2:]
+    literals = head + [
+        '}, "dur": ',
+        f', "name": {json.dumps(name)}, "ph": "X", "pid": {_PID}, "tid": ',
+        ', "ts": ',
+        "}",
+    ]
+    texts = [_json_texts(np.asarray(args[key])[order]) for key in keys]
+    texts += [_json_texts(dur), _json_texts(tid), _json_texts(ts)]
+
+    # Rows tied on (ts, tid, dur) order by the text of their args, as in
+    # sorted_events; runs of ties are rare and short.
+    tied = (ts[1:] == ts[:-1]) & (tid[1:] == tid[:-1]) & (dur[1:] == dur[:-1])
+    if tied.any():
+        arg_texts = texts[: len(keys)]
+
+        def args_text(i):
+            return "".join(h + t[i] for h, t in zip(head, arg_texts)) + "}"
+
+        padded = np.concatenate(([False], tied, [False]))
+        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+        for first, last in zip(edges[0::2], edges[1::2]):
+            rank = sorted(range(first, last + 1), key=args_text)
+            for column in texts:
+                column[first : last + 1] = [column[i] for i in rank]
+
+    n, stride = ts.shape[0], 2 * len(texts) + 1
+    parts: List[Optional[str]] = [None] * (n * stride)
+    for j, literal in enumerate(literals):
+        parts[2 * j :: stride] = [literal] * n
+    for j, column in enumerate(texts):
+        parts[2 * j + 1 :: stride] = column
+
+    # Merge the other events in on the five-field key: an event goes
+    # after the rows that sort before it, found by bisecting ts then tid.
+    out: List[Optional[str]] = []
+    done = 0
+    for event in sorted_events(events):
+        e_ts, e_tid, e_ph, e_name, _ = _event_sort_key(event)
+        if (e_ph, e_name) == ("X", name):
+            raise ValueError(f"event list holds an 'X' span named {name!r}")
+        lo = np.searchsorted(ts, e_ts, "left")
+        hi = np.searchsorted(ts, e_ts, "right")
+        lane = tid[lo:hi]  # the rows at the event's ts, ordered by tid
+        lo, hi = (
+            lo + np.searchsorted(lane, e_tid, "left"),
+            lo + np.searchsorted(lane, e_tid, "right"),
+        )
+        at = int(lo if (e_ph, e_name) < ("X", name) else hi)
+        out += parts[done * stride : at * stride]
+        out.append(", " + json.dumps(event, sort_keys=True))
+        done = at
+    out += parts[done * stride :]
+    return '{"displayTimeUnit": "ms", "traceEvents": [' + "".join(out)[2:] + "]}\n"

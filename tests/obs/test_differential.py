@@ -18,6 +18,7 @@ import io
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.fleet import (
@@ -109,6 +110,42 @@ class TestShardCounts:
         )
         assert got.to_json() == ref.to_json()
         assert _streams(col_obs) == _streams(ref_obs)
+
+    @pytest.mark.skipif(not native_available(), reason="no C compiler")
+    def test_forked_workers_ship_span_columns(
+        self, monkeypatch,
+        cluster_model, hash_tokenizer, hetero_specs, fleet_config,
+    ):
+        # Forked workers' partials carry batch spans as numeric column
+        # chunks, never as trace-event dicts, and the parent renders the
+        # same trace as the in-process run.
+        absorbed = []
+        absorb = FleetObserver.absorb
+
+        def record(self, partial):
+            absorbed.append(partial)
+            absorb(self, partial)
+
+        monkeypatch.setattr(FleetObserver, "absorb", record)
+
+        def run(procs):
+            obs = FleetObserver()
+            run_scenario_columnar(
+                "flash-crowd", cluster_model, hash_tokenizer, hetero_specs,
+                fleet_config, shards=4, shard_processes=procs, obs=obs,
+                native=True, autoscale=AUTOSCALE, failures=FAILURES,
+                scale_spec=hetero_specs[0], **KW,
+            )
+            return _streams(obs)
+
+        forked = run(True)
+        assert sum(len(partial.batch_spans) > 0 for partial in absorbed) > 1
+        for partial in absorbed:
+            assert all(e["name"] != "batch" for e in partial.trace_events)
+            for chunk in partial.batch_spans:
+                assert len(chunk) == 9
+                assert all(isinstance(column, np.ndarray) for column in chunk)
+        assert forked == run(False)
 
 
 class TestDeterminism:
