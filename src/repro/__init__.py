@@ -18,8 +18,8 @@ Subpackages:
   :mod:`repro.serve`: scenario workload generation, heterogeneous replica
   fleets with SLO-aware routing and load shedding, autoscaling, and
   replica failure injection/recovery
-- :mod:`repro.perf` — profiling, pinned benchmark suites, and the
-  bench-regression gate
+- :mod:`repro.perf` — profiling, the seed reference kernels, pinned
+  synthetic workloads, and the wall-clock contracts of ``repro.cli bench``
 - :mod:`repro.baselines` — CPU/GPU roofline baselines (Table IV)
 - :mod:`repro.experiments` — drivers regenerating every table and figure
 """

@@ -14,7 +14,7 @@ Subcommands::
     python -m repro.cli loadtest  --scenario flash-crowd --chaos-plan plan.json --retries 2 --breaker --brownout
     python -m repro.cli metrics   --prom m.prom [--windows w.jsonl] [--trace t.json]
     python -m repro.cli search    --space table3 [--scenario flash-crowd] [--json out.json]
-    python -m repro.cli bench     [--quick] [--suite kernels|serve|cluster|fleet|dse|all]
+    python -m repro.cli bench     # wall-clock contracts (over a minute, ~7 GB)
 
 Each subcommand is a thin wrapper over the library; anything the CLI does
 can be done in a few lines of Python (see examples/).
@@ -784,63 +784,20 @@ def cmd_search(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Run the pinned perf suites; gate against committed BENCH_*.json.
+    """Hold the wall-clock contracts of :mod:`repro.perf.bench`.
 
-    For each suite the flow is: run → compare against the existing
-    ``BENCH_<suite>.json`` (if any, and unless ``--no-check``) → rewrite the
-    file with the fresh results.  Any gated metric more than ``--tolerance``
-    worse than the baseline fails the command with exit code 1 — the file
-    is still rewritten so ``git diff`` shows exactly what moved.  A
-    profile mismatch (e.g. a ``--quick`` run over a committed full-profile
-    baseline) leaves the baseline untouched: quick numbers must never
-    silently replace the full-profile gate (``--no-check`` overrides).
+    Prints one line per contract and exits 1 naming every breach.  The
+    run includes a 100M-request trace, so it takes over a minute and
+    about 7 GB of memory; it writes no files.
     """
-    import pathlib
+    from .perf import bench
 
-    from .perf import bench, regression
-
-    suites = list(bench.SUITES) if args.suite == "all" else [args.suite]
-    out_dir = pathlib.Path(args.out_dir)
-    failures = []
-    skipped = []
-    for suite in suites:
-        result = bench.run_suite(suite, quick=args.quick)
-        print(bench.render_result(result))
-        path = bench.result_path(out_dir, suite)
-        baseline = bench.load_result(path)
-        write = True
-        if baseline is not None and not args.no_check:
-            try:
-                regressions = regression.compare_runs(
-                    baseline, result, tolerance=args.tolerance
-                )
-            except ValueError as mismatch:
-                write = False
-                skipped.append(suite)
-                print(
-                    f"[bench] {suite}: {mismatch}; leaving {path} untouched "
-                    "(use --no-check or another --out-dir to write anyway)"
-                )
-            else:
-                for item in regressions:
-                    print(f"[bench] REGRESSION ({suite}): {item.render()}")
-                failures.extend(regressions)
-        if write:
-            bench.write_result(result, path)
-            print(f"[bench] wrote {path}")
-    if failures:
-        print(
-            f"[bench] FAILED: {len(failures)} metric(s) regressed more than "
-            f"{args.tolerance * 100:.0f}% vs. the committed baseline"
-        )
+    lines, breaches = bench.check_contracts(bench.measure())
+    print("\n".join(lines))
+    if breaches:
+        print(f"[bench] FAILED: {'; '.join(breaches)}")
         return 1
-    if skipped:
-        print(
-            f"[bench] done, but the regression gate did NOT run for: "
-            f"{', '.join(skipped)} (baseline mismatch)"
-        )
-    else:
-        print("[bench] OK: no regressions beyond tolerance")
+    print(f"[bench] OK: all {len(lines)} contracts hold")
     return 0
 
 
@@ -1178,27 +1135,9 @@ def build_parser() -> argparse.ArgumentParser:
     search.set_defaults(func=cmd_search)
 
     bench = sub.add_parser(
-        "bench", help="pinned perf suites + regression gate (BENCH_*.json)"
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="small shapes / fewer repeats (CI smoke)"
-    )
-    bench.add_argument(
-        "--suite",
-        choices=["kernels", "serve", "cluster", "fleet", "dse", "all"],
-        default="all",
-    )
-    bench.add_argument(
-        "--out-dir", default=".", help="where BENCH_<suite>.json files live"
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed relative regression before failing (0.10 = 10%%)",
-    )
-    bench.add_argument(
-        "--no-check", action="store_true", help="emit results without gating"
+        "bench",
+        help="wall-clock contracts: analytic/columnar speedups, observer and "
+        "resilience overheads, the 100M-request trace, search throughput",
     )
     bench.set_defaults(func=cmd_bench)
     return parser

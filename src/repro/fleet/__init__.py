@@ -21,7 +21,7 @@ autoscaler recovers the tail, and what a replica failure costs.
 - :mod:`metrics` — empty-safe per-tenant / per-replica aggregation,
   goodput, shed rates
 - :mod:`runner` — the deterministic event loop behind
-  ``repro.cli loadtest`` and the ``cluster`` bench suite
+  ``repro.cli loadtest``
 - :mod:`columnar` — the columnar analytic engine: the same simulation
   re-expressed over numpy columns and memoized price tables, byte-exact
   against the event loop and two orders of magnitude faster, with

@@ -1,7 +1,4 @@
-"""Profiling, benchmarking, and perf-regression tooling.
-
-The subsystem behind ``repro.cli bench`` and the ROADMAP's "every PR makes
-a hot path measurably faster" rule:
+"""Profiling, timing, and the bit-exactness oracle of the integer kernels.
 
 - :mod:`timer` — best-of-N wall-clock timing (:func:`time_callable`)
 - :mod:`profiler` — span-based wall-time attribution (:class:`Profiler`)
@@ -9,27 +6,11 @@ a hot path measurably faster" rule:
   bit-exactness oracle every optimization is verified against
 - :mod:`workloads` — pinned synthetic integer models, tokenizer, and text
   pools (deterministic, training-free)
-- :mod:`bench` — the ``kernels`` / ``serve`` / ``cluster`` / ``fleet``
-  suites emitting ``BENCH_*.json`` baselines
-- :mod:`regression` — the >10%-worse gate against committed baselines
+- :mod:`bench` — the wall-clock contracts behind ``repro.cli bench``
 
-See ``docs/performance.md`` for the workflow.
+See ``docs/performance.md`` for which contract lives where.
 """
 
-from .bench import (
-    BENCH_BATCH,
-    SCHEMA,
-    SUITES,
-    load_result,
-    render_result,
-    result_path,
-    run_cluster_suite,
-    run_fleet_suite,
-    run_kernel_suite,
-    run_serve_suite,
-    run_suite,
-    write_result,
-)
 from .profiler import Profiler, SpanStats
 from .reference import (
     reference_attention_forward,
@@ -39,28 +20,10 @@ from .reference import (
     reference_layernorm_forward,
     reference_linear_forward,
 )
-from .regression import DEFAULT_TOLERANCE, Regression, compare_runs
 from .timer import TimingResult, time_callable
 from .workloads import HashTokenizer, bench_text_pool, build_synthetic_integer_model
 
 __all__ = [
-    # bench suites
-    "BENCH_BATCH",
-    "SCHEMA",
-    "SUITES",
-    "run_suite",
-    "run_kernel_suite",
-    "run_serve_suite",
-    "run_cluster_suite",
-    "run_fleet_suite",
-    "result_path",
-    "load_result",
-    "write_result",
-    "render_result",
-    # regression gate
-    "DEFAULT_TOLERANCE",
-    "Regression",
-    "compare_runs",
     # timing / profiling
     "TimingResult",
     "time_callable",

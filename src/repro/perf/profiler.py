@@ -3,8 +3,8 @@
 ``Profiler`` accumulates (call count, total time) per named span.  It is
 deliberately tiny — a context manager around ``time.perf_counter`` — so it
 can wrap hot-path stages (tokenize / encode / classify / dispatch) without
-perturbing what it measures.  The bench harness uses it to attribute serve
-wall time; it is also usable standalone::
+perturbing what it measures.  The repo benchmark uses it to attribute
+per-layer wall time; it is also usable standalone::
 
     profiler = Profiler()
     with profiler.span("encode"):

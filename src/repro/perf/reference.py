@@ -9,9 +9,8 @@ transpose copies, redundant ``int64`` casts, native integer matmuls and all
 
 - ``tests/perf/test_reference_equivalence.py`` can assert bit-exactness on
   random and adversarial inputs, and
-- the bench harness (``repro.cli bench``) can report the optimized/seed
-  speedup that the ROADMAP's "every PR makes a hot path measurably faster"
-  rule demands.
+- ``benchmarks/test_bench_vectorization.py`` can report the optimized/seed
+  speedup of each kernel.
 
 These functions operate on the *same* frozen dataclasses as the optimized
 engine (:class:`~repro.quant.integer_model.IntegerLinear` etc.), so a single

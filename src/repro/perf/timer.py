@@ -2,7 +2,7 @@
 
 Best-of-N timing on a monotonic clock: the *minimum* over repeats is the
 standard low-noise estimator for CPU microbenchmarks (system jitter only
-ever adds time), and it is what the regression gate compares across runs.
+ever adds time), and it is what the wall-clock bench contracts bound.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Pinned synthetic workloads for the bench harness.
+"""Pinned synthetic workloads for benchmarks and pinned tests.
 
 The accuracy experiments need *trained* models, but benchmarking only needs
 realistic shapes and code distributions — so this module builds frozen
@@ -6,8 +6,8 @@ realistic shapes and code distributions — so this module builds frozen
 instances directly from seeded random parameter codes, at sizes the numpy
 QAT path could never train in bench-budget time.  Everything is
 deterministic given ``seed``: same model, same inputs, same logits, every
-run on every machine — which is what lets BENCH_*.json files be compared
-across commits.
+run on every machine — which is what lets the tier-1 tests pin their
+simulated statistics exactly.
 """
 
 from __future__ import annotations

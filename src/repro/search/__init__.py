@@ -9,9 +9,9 @@ front; :mod:`repro.search.planner` searches fleet compositions and
 autoscaler policies with the analytic fleet simulator as its inner loop,
 returning the cheapest plan that meets p99/shed SLO targets.
 
-``repro.cli search`` fronts both halves; the ``dse`` bench suite pins the
-throughput (≥1k candidate evaluations per second) and correctness (the
-paper's Table III design points stay on the front) contracts.
+``repro.cli search`` fronts both halves; ``repro.cli bench`` holds memoized
+pricing to ≥1k candidate evaluations per second, and the tier-1 tests keep
+the paper's Table III design points on the front.
 """
 
 from .explorer import (

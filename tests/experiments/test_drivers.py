@@ -109,7 +109,6 @@ class TestAblationConfigs:
             previous_on = on
 
 
-@pytest.mark.slow
 class TestAccuracyExperimentsSmoke:
     """Run the accuracy drivers end-to-end at smoke scale."""
 

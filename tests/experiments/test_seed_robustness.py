@@ -1,9 +1,8 @@
 """Seed robustness: the headline shapes must not be one-seed luck.
 
-Marked slow; runs the SST-2-like accuracy pipeline at two extra seeds and
-checks the *shape* assertions (not the exact numbers): the float model
-learns, w4 QAT stays close, and 2-bit without clip is the worst
-configuration.
+Runs the SST-2-like accuracy pipeline at two extra seeds and checks the
+*shape* assertions (not the exact numbers): the float model learns, w4
+QAT stays close, and 2-bit without clip is the worst configuration.
 """
 
 from dataclasses import replace
@@ -12,8 +11,6 @@ import pytest
 
 from repro.experiments import ExperimentScale, clear_cache, pretrain_task, qat_accuracy
 from repro.quant import QuantConfig
-
-pytestmark = pytest.mark.slow
 
 
 @pytest.mark.parametrize("seed", [19, 31])

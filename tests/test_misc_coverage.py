@@ -83,7 +83,6 @@ class TestExperimentsMainModule:
         assert "Table III" in out
 
 
-@pytest.mark.slow
 class TestReportGenerator:
     def test_smoke_report(self):
         from repro.experiments import ExperimentScale, clear_cache, generate_report
