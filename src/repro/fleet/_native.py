@@ -21,10 +21,11 @@ x86-64 SSE2 / aarch64 doubles come out bit-identical to CPython's —
 a property the differential tests assert rather than assume.
 
 The kernel keeps no state of its own: replica queues, breakers, the
-brownout ladder, the retry budget and heap and hedged pairs arrive as
-arrays and leave as arrays, so a run can stop at any control event,
-pickle its state across a shard boundary and go on.  It can log every
-flush (replica slot, bucket, size, start, service, finish, offset of
+brownout ladder, the retry budget and heap and hedged pairs live in
+arrays the engine owns, one row per replica ever added, which each call
+updates in place, so a run can stop at any control event, pickle its
+state across a shard boundary and go on.  It can log every
+flush (replica id, bucket, size, start, service, finish, offset of
 its completions) plus each completion's enqueue time, and every final
 shed, breaker transition and brownout step in decision order; the
 engine's post-pass turns those logs into observer records and
@@ -60,13 +61,14 @@ _SOURCE = r"""
 enum { P_WAIT, P_FACTOR, P_USLO, P_LIMIT, P_BACKOFF, P_JITTER, P_RATIO,
        P_BURST, P_HEDGE, P_TIMEOUT, P_STRAGGLE, P_THRESHOLD, P_OPEN,
        P_DWELL, P_LEVELS };
-enum { Q_L, Q_B, Q_M, Q_INCLUSIVE, Q_ADVANCE, Q_MIGRANTS, Q_RETRIES,
+enum { Q_L, Q_N, Q_B, Q_M, Q_INCLUSIVE, Q_ADVANCE, Q_MIGRANTS, Q_RETRIES,
        Q_HEDGE, Q_BREAKER, Q_BROWNOUT, Q_WINDOW, Q_MIN_SAMPLES, Q_PROBES,
        Q_LEVELS, Q_SEED };
 enum { F_TOKENS, F_MIN_SLO, F_CHANGE, F_NOW, F_COUNT };
 enum { I_LEVEL, I_SEQ, I_HEAP, I_MIGRATIONS, I_RETRIES, I_EXHAUSTED,
        I_TIMEOUTS, I_HEDGES, I_WINS, I_ESC, I_DEESC, I_DONE, I_FLUSHES,
-       I_SHEDS, I_EVENTS, I_EV_CAP, I_STOP, I_FINISHED, I_ERROR, I_COUNT };
+       I_SHEDS, I_EVENTS, I_EV_CAP, I_HEAP_CAP, I_STOP, I_FINISHED, I_ERROR,
+       I_COUNT };
 /* Per-replica breaker integers (br), breaker states, logged event kinds
  * and shed codes (chaos.SHED_REASON_OF_CODE). */
 enum { BR_STATE, BR_PROBES, BR_N, BR_OPENS, BR_CLOSES, BR_SIZE };
@@ -74,33 +76,38 @@ enum { CLOSED, OPEN, HALF_OPEN };
 enum { EV_SHED, EV_BREAKER, EV_BROWNOUT };
 enum { OVERLOAD = 1, NO_CAPACITY, BREAKER, TIMEOUT };
 
-/* One sweep's state (L live replicas, B buckets, M max batch), packed
- * into a few buffers, each the listed arrays back to back:
- *   prices  ref_price [L]          admission reference-batch price
- *           price_full [L*B]       full-batch service ms per bucket
- *           svc [L*B*(M+1)]        service ms per (bucket, size); col 0 unused
- *   rf      busy_until, busy_ms [L]
- *           slowdown [L]           gray-window multiplier, 1.0 when healthy
- *           next_dl [L]            earliest pending deadline, INFINITY if none
- *           br_until [L]           breaker open hold
- *   ri      batches, served [L], br [L*BR_SIZE] breaker integers
- *   li      order_n [L]; depth [L*B] queue depths (< M between events);
- *           order [L*B] bucket slots in first-use order; seen [L*B]
- *   qidx/qenq  [L*B*M]      queued request index / enqueue time, FIFO
- *   qhedge     [L*B*M]      hedged copy: twin slot * 2 + is-primary, else -1
+/* One sweep's state, packed into a few buffers, each the listed arrays
+ * back to back.  Every replica ever added owns one row (N rows, by
+ * replica id); the L live ones are listed in live[L], ascending.  B is
+ * the bucket count, M the max batch:
+ *   prices  ref_price [N]          admission reference-batch price
+ *           price_full [N*B]       full-batch service ms per bucket
+ *           svc [N*B*(M+1)]        service ms per (bucket, size); col 0 unused
+ *   rf      busy_until, busy_ms [N]
+ *           slowdown [N]           gray-window multiplier, 1.0 when healthy
+ *           next_dl [N]            earliest pending deadline, INFINITY if none
+ *           br_until [N]           breaker open hold
+ *   ri      batches, served [N], br [N*BR_SIZE] breaker integers
+ *   li      order_n [N]; depth [N*B] queue depths (< M between events);
+ *           order [N*B] bucket slots in first-use order; seen [N*B]
+ *   qidx/qenq  [N*B*M]      queued request index / enqueue time, FIFO
+ *   qhedge     [N*B*M]      hedged copy: twin row * 2 + is-primary, else -1
  *                           (NULL without hedging)
+ *   br_recent  [N*window]   breakers' recent straggle flags (NULL: no breaker)
  *   done_log   [cap]        completed request indices, flush order
  *   done_enq   [cap]        their enqueue times (NULL: not logged)
- *   log_ints   [cap*4]      per flush: slot, bucket, take, done_log offset
+ *   log_ints   [cap*4]      per flush: replica, bucket, take, done_log offset
  *   log_times  [cap*3]      per flush: start, service, finish (NULL: not logged)
  *   shed_log   [cap]        final sheds' request indices (NULL: read the column)
- *   br_recent  [L*window]   breakers' recent straggle flags (NULL: no breaker)
- *   h_due/h_key             retry min-heap on (due, seq); key = seq, idx, attempt
+ *   h_due/h_key             retry min-heap on (due, seq) with room for
+ *                           is[I_HEAP_CAP]; key = seq, idx, attempt (NULL
+ *                           without retries)
  *   ev_i/ev_t               observer events: kind, two ints, time (NULL: none)
  *   migrants   [n*2]        evicted (request, bucket) pairs to re-place
  */
 typedef struct {
     long long L, B, M;
+    const long long *live;
     int resilient, breaker, hedge, brownout;
     double wait_ms, g;
     double *busy_until, *busy_ms;
@@ -181,12 +188,12 @@ static void recompute_next_dl(Sweep *s, long long r) {
 
 static double global_next(const Sweep *s) {
     double g = INFINITY;
-    for (long long r = 0; r < s->L; ++r)
-        if (s->next_dl[r] < g) g = s->next_dl[r];
+    for (long long j = 0; j < s->L; ++j)
+        if (s->next_dl[s->live[j]] < g) g = s->next_dl[s->live[j]];
     return g;
 }
 
-/* ---- CircuitBreaker, one per live slot ---- */
+/* ---- CircuitBreaker, one per replica ---- */
 static void breaker_open(Sweep *s, long long r, double fin) {
     s->br[BR_SIZE * r + BR_STATE] = OPEN;
     s->br_until[r] = fin + s->fp[P_OPEN];
@@ -343,13 +350,13 @@ static void fire_dues(Sweep *s, long long r, double now_ms) {
 /* Fleet.advance: fire due deadlines on live replicas, id order. */
 static void advance(Sweep *s, double t) {
     if (t >= s->g) {
-        for (long long r = 0; r < s->L; ++r)
-            if (s->next_dl[r] <= t) fire_dues(s, r, t);
+        for (long long j = 0; j < s->L; ++j)
+            if (s->next_dl[s->live[j]] <= t) fire_dues(s, s->live[j], t);
         s->g = global_next(s);
     }
 }
 
-/* Fleet.projected_latency_ms: one more request's latency on slot r. */
+/* Fleet.projected_latency_ms: one more request's latency on replica r. */
 static inline __attribute__((always_inline)) double project(const Sweep *s, long long r, double t) {
     long long B = s->B, M = s->M;
     double backlog = s->busy_until[r] - t;
@@ -365,14 +372,15 @@ static inline __attribute__((always_inline)) double project(const Sweep *s, long
     return backlog + queued + s->ref_price[r] + s->wait_ms;
 }
 
-/* The best projection, a strict < keeping the lowest slot on ties.  The
+/* The best projection, a strict < keeping the lowest id on ties.  The
  * shed-skip binary search evaluates it too, so both see the same bits. */
 static double best_projection(const Sweep *s, double t, long long *best_out) {
     long long best = 0;
     double bestp = 0.0;
-    for (long long r = 0; r < s->L; ++r) {
+    for (long long j = 0; j < s->L; ++j) {
+        long long r = s->live[j];
         double p = project(s, r, t);
-        if (r == 0 || p < bestp) {
+        if (j == 0 || p < bestp) {
             bestp = p;
             best = r;
         }
@@ -488,9 +496,10 @@ static void migrate(Sweep *s, long long idx, long long b, double now) {
         final_shed(s, idx, NO_CAPACITY, now);
         return;
     }
-    long long best = 0;
-    double bestp = project(s, 0, now);
-    for (long long r = 1; r < s->L; ++r) {
+    long long best = s->live[0];
+    double bestp = project(s, best, now);
+    for (long long j = 1; j < s->L; ++j) {
+        long long r = s->live[j];
         double p = project(s, r, now);
         if (p < bestp) {
             best = r;
@@ -520,13 +529,14 @@ static int retry_delay(Sweep *s, long long idx, long long attempt, double *delay
 }
 
 /* chaos.admit past its no-capacity case, for a resilient policy: the
- * shed code, else 0 with the best slot, its projection and the runner-up
+ * shed code, else 0 with the best replica, its projection and the runner-up
  * (-1 when none). */
 static int admit(Sweep *s, double slo, double now, long long *best_out,
                  double *bestp_out, long long *second_out) {
     long long best = -1, second = -1;
     double bestp = 0.0, secondp = INFINITY;
-    for (long long r = 0; r < s->L; ++r) {
+    for (long long j = 0; j < s->L; ++j) {
+        long long r = s->live[j];
         if (s->breaker && !breaker_allows(s, r, now)) continue;
         double p = project(s, r, now);
         if (best < 0) {
@@ -598,36 +608,37 @@ static int attempt(Sweep *s, long long idx, long long att, double now) {
  * ip[Q_MIGRANTS] evicted (request, bucket) pairs at t; arrivals
  * [i0, i1), each after the retries due before it; the retries due
  * before t (or at it, with ip[Q_INCLUSIVE]); with ip[Q_ADVANCE], the
- * deadlines due by t.  With an event log it stops early when the log
- * could overflow, leaving is[I_STOP] as the arrival to resume at (with
- * no migrants); is[I_FINISHED] marks a complete call. */
+ * deadlines due by t.  It stops early when its event log could
+ * overflow or its retry heap is full, leaving is[I_STOP] as the arrival
+ * to resume at (with no migrants); is[I_FINISHED] marks a complete call. */
 void arrival_run(long long i0, long long i1, double *fv, long long *iv,
+                 const double *prices, double *rf, long long *ri, int *li,
+                 const long long *live, long long *qidx, double *qenq,
+                 int *qhedge, unsigned char *br_recent, double *h_due,
+                 long long *h_key,
                  const double *arrival, const int *bucket, const double *slo,
                  const long long *bucket_value, unsigned char *shed,
                  double *finish, double *due_dl, long long *due_bv,
-                 long long *due_b, const double *prices, double *rf,
-                 long long *ri, int *li, long long *qidx, double *qenq,
-                 int *qhedge, unsigned char *br_recent,
+                 long long *due_b,
                  long long *done_log, double *done_enq,
                  int *log_ints, double *log_times, long long *shed_log,
-                 double *h_due, long long *h_key, int *ev_i, double *ev_t,
-                 const long long *migrants) {
+                 int *ev_i, double *ev_t, const long long *migrants) {
     double *fs = fv;
     const double *fp = fv + F_COUNT;
     long long *is = iv;
     const long long *ip = iv + I_COUNT;
-    long long L = ip[Q_L], B = ip[Q_B], M = ip[Q_M];
+    long long N = ip[Q_N], B = ip[Q_B], M = ip[Q_M];
     Sweep sw = {
-        .L = L, .B = B, .M = M,
+        .L = ip[Q_L], .B = B, .M = M, .live = live,
         .breaker = (int)ip[Q_BREAKER], .hedge = (int)ip[Q_HEDGE],
         .brownout = (int)ip[Q_BROWNOUT], .wait_ms = fp[P_WAIT],
-        .ref_price = prices, .price_full = prices + L,
-        .svc = prices + L + L * B,
-        .busy_until = rf, .busy_ms = rf + L, .slowdown = rf + 2 * L,
-        .next_dl = rf + 3 * L, .br_until = rf + 4 * L,
-        .batches = ri, .served = ri + L, .br = ri + 2 * L,
-        .order_n = li, .depth = li + L, .order = li + L + L * B,
-        .seen = li + L + 2 * L * B,
+        .ref_price = prices, .price_full = prices + N,
+        .svc = prices + N + N * B,
+        .busy_until = rf, .busy_ms = rf + N, .slowdown = rf + 2 * N,
+        .next_dl = rf + 3 * N, .br_until = rf + 4 * N,
+        .batches = ri, .served = ri + N, .br = ri + 2 * N,
+        .order_n = li, .depth = li + N, .order = li + N + N * B,
+        .seen = li + N + 2 * N * B,
         .qidx = qidx, .qenq = qenq, .qhedge = qhedge,
         .bucket_value = bucket_value, .bucket = bucket, .slo = slo,
         .shed = shed, .finish = finish,
@@ -670,6 +681,9 @@ void arrival_run(long long i0, long long i1, double *fv, long long *iv,
         }
         if (i == i1) break;
         if (ev_i && is[I_EVENTS] + room > is[I_EV_CAP]) goto stop;
+        /* An arrival may schedule one retry; a fired retry reschedules
+         * at most itself, so only arrivals can fill the heap. */
+        if (h_due && is[I_HEAP] == is[I_HEAP_CAP]) goto stop;
         advance(s, t);
         if (t > fs[F_NOW]) fs[F_NOW] = t;
         if (accrue) {
@@ -728,13 +742,13 @@ INDEX_LIMIT = 2**31 - 1
 # Slots of the kernel's flat argument arrays (the C enums, in order).
 (P_WAIT, P_FACTOR, P_USLO, P_LIMIT, P_BACKOFF, P_JITTER, P_RATIO, P_BURST,
  P_HEDGE, P_TIMEOUT, P_STRAGGLE, P_THRESHOLD, P_OPEN, P_DWELL, P_LEVELS) = range(15)
-(Q_L, Q_B, Q_M, Q_INCLUSIVE, Q_ADVANCE, Q_MIGRANTS, Q_RETRIES, Q_HEDGE,
- Q_BREAKER, Q_BROWNOUT, Q_WINDOW, Q_MIN_SAMPLES, Q_PROBES, Q_LEVELS,
- Q_SEED) = range(15)
+(Q_L, Q_N, Q_B, Q_M, Q_INCLUSIVE, Q_ADVANCE, Q_MIGRANTS, Q_RETRIES,
+ Q_HEDGE, Q_BREAKER, Q_BROWNOUT, Q_WINDOW, Q_MIN_SAMPLES, Q_PROBES,
+ Q_LEVELS, Q_SEED) = range(16)
 F_TOKENS, F_MIN_SLO, F_CHANGE, F_NOW, F_COUNT = range(5)
 (I_LEVEL, I_SEQ, I_HEAP, I_MIGRATIONS, I_RETRIES, I_EXHAUSTED, I_TIMEOUTS,
  I_HEDGES, I_WINS, I_ESC, I_DEESC, I_DONE, I_FLUSHES, I_SHEDS, I_EVENTS,
- I_EV_CAP, I_STOP, I_FINISHED, I_ERROR, I_COUNT) = range(20)
+ I_EV_CAP, I_HEAP_CAP, I_STOP, I_FINISHED, I_ERROR, I_COUNT) = range(21)
 EV_SHED, EV_BREAKER, EV_BROWNOUT = range(3)
 
 _lib = None
@@ -810,7 +824,7 @@ def _build() -> Optional[ctypes.CDLL]:
     # would cost more than a small call's sweep); callers pass
     # C-contiguous arrays of the C types, or None for NULL.
     handle.arrival_run.restype = None
-    handle.arrival_run.argtypes = [ll, ll] + [ctypes.c_void_p] * 29
+    handle.arrival_run.argtypes = [ll, ll] + [ctypes.c_void_p] * 30
     handle.backoff_ms.restype = dd
     handle.backoff_ms.argtypes = [dd, dd, ctypes.c_uint64, ll, ll]
     return handle

@@ -12,7 +12,8 @@ simulation over columns:
 - every service time a run can dispatch is a memoized per-(design point,
   bucket, batch size) price table
   (:func:`repro.serve.router.service_table`);
-- replica state is a handful of scalars and tiny per-bucket FIFOs;
+- replica state (a handful of scalars and tiny per-bucket FIFOs per
+  replica) lives in the kernel's own packed arrays between calls;
 - the per-arrival decision sweep — project, admit or shed (or retry),
   enqueue, flush, with every resilience mechanism — runs in a
   runtime-compiled C kernel (:mod:`repro.fleet._native`), retries
@@ -55,11 +56,12 @@ for shard counts 1, 2, 5, and 7.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,13 +73,10 @@ from .chaos import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     SHED_REASON_OF_CODE,
-    BrownoutLadder,
     ChaosPlan,
     ChaosStats,
-    CircuitBreaker,
     GrayWindow,
     ResiliencePolicy,
-    RetryBudget,
 )
 from .fleet import FleetConfig, ReplicaSpec, reference_bucket
 from .metrics import build_fleet_stats_columns, build_replica_stats
@@ -102,19 +101,23 @@ from .scenarios import (
 )
 from . import _native
 from ._native import (
-    F_COUNT, I_COUNT, I_DEESC, I_DONE, I_ERROR, I_EVENTS, I_EV_CAP,
-    I_FINISHED, I_FLUSHES, I_HEAP, I_LEVEL, I_MIGRATIONS, I_RETRIES, I_SEQ,
-    I_SHEDS, I_STOP, P_LIMIT, Q_ADVANCE, Q_INCLUSIVE, Q_L, Q_MIGRANTS, Q_SEED,
+    F_COUNT, F_MIN_SLO, F_NOW, I_COUNT, I_DEESC, I_DONE, I_ERROR, I_EVENTS,
+    I_EV_CAP, I_FINISHED, I_FLUSHES, I_HEAP, I_HEAP_CAP, I_MIGRATIONS,
+    I_RETRIES, I_SHEDS, I_STOP, P_LIMIT, Q_ADVANCE, Q_INCLUSIVE, Q_L,
+    Q_MIGRANTS, Q_N, Q_SEED,
 )
 
 # Arrivals per C-kernel call: the kernel's completion and batch logs are
 # sized by one call, so this bounds their memory on any trace.
 SWEEP_CHUNK = 1 << 20
 
+# Initial retry-heap entries; a kernel call that fills the heap stops,
+# and the engine doubles it before resuming.
+_HEAP_START = 1024
+
 # Breaker states by kernel code, and the ChaosStats counters the kernel
 # carries in is[I_RETRIES:I_DEESC + 1], in that order.
 _BREAKER_STATES = (BREAKER_CLOSED, BREAKER_OPEN, BREAKER_HALF_OPEN)
-_BREAKER_CODE = {state: code for code, state in enumerate(_BREAKER_STATES)}
 _KERNEL_COUNTERS = (
     "retries", "retry_budget_exhausted", "timeouts", "hedges", "hedge_wins",
     "brownout_escalations", "brownout_deescalations",
@@ -131,26 +134,25 @@ def native_available() -> bool:
 # ----------------------------------------------------------------------
 @dataclass
 class _DesignTables:
-    """Per-(design point) pricing: plain Python floats for the hot loop."""
+    """Per-(design point) pricing: one replica's rows of the kernel's
+    price buffer, and its cold-start window."""
 
-    price_full: List[float]        # full-batch price per bucket slot
+    price_full: np.ndarray         # [bucket slot] full-batch price
     ref_price: float               # price of the admission reference bucket
-    svc: List[List[float]]         # [bucket slot][batch size] service ms
+    svc: np.ndarray                # [bucket slot, batch size] service ms
     cold_ms: float                 # cold-start window
 
 
 @dataclass
 class _Rep:
-    """One replica's complete simulation state (picklable)."""
+    """One replica's lifecycle.  Its serving state (busy time, queues,
+    breaker) is row ``replica_id`` of :class:`ColumnarFleetState`'s
+    kernel buffers, kept there while the replica is down too."""
 
     replica_id: int
     spec: ReplicaSpec
     tables: _DesignTables
     added_ms: float
-    busy_until: float = 0.0
-    busy_ms: float = 0.0
-    batches: int = 0
-    requests: int = 0
     live: bool = True
     retired_ms: Optional[float] = None
     failures: int = 0
@@ -158,31 +160,62 @@ class _Rep:
     # down because of a fail-stop (vs scaled away) — the recover guard,
     # as Replica.failed
     failed: bool = False
-    # gray-window service multiplier (as DeviceRouter.slowdown); 1.0
-    # costs no float op
-    slowdown: float = 1.0
-    # per-replica straggle detector when the resilience policy enables it
-    breaker: Optional[CircuitBreaker] = None
-    pending: int = 0
-    # Per-bucket FIFO queues of (request index, enqueue ms); `order` lists
-    # bucket slots in first-use order (the batcher's dict insertion order,
-    # which fixes the float accumulation order of admission projections).
-    queues: List[List[Tuple[int, float]]] = field(default_factory=list)
-    order: List[int] = field(default_factory=list)
-    seen: List[bool] = field(default_factory=list)
-    next_dl: Optional[float] = None
+
+
+class _Rows(NamedTuple):
+    """Per-field views of the kernel buffers, first axis the replica id."""
+
+    busy_until: np.ndarray         # float64 [N]
+    busy_ms: np.ndarray            # float64 [N]
+    slowdown: np.ndarray           # float64 [N] gray multiplier, 1.0 healthy
+    next_dl: np.ndarray            # float64 [N] earliest deadline, inf if none
+    br_until: np.ndarray           # float64 [N] breaker open hold
+    batches: np.ndarray            # int64 [N]
+    served: np.ndarray             # int64 [N]
+    br: np.ndarray                 # int64 [N, 5] breaker state code, probes
+                                   #   left, recent count, opens, closes
+    order_n: np.ndarray            # int32 [N]
+    depth: np.ndarray              # int32 [N, B] queue depths
+    order: np.ndarray              # int32 [N, B] buckets in first-use order
+    seen: np.ndarray               # int32 [N, B]
+    qidx: np.ndarray               # int64 [N, B, M] queued request, FIFO
+    qenq: np.ndarray               # float64 [N, B, M] its enqueue ms
+    qhedge: Optional[np.ndarray]   # int32 [N, B, M] twin id * 2 + primary
 
 
 @dataclass
 class ColumnarFleetState:
-    """Everything a shard hands to the next one (compact, picklable)."""
+    """Everything a shard hands to the next one (compact, picklable).
 
-    replicas: List[_Rep] = field(default_factory=list)
-    live: List[_Rep] = field(default_factory=list)    # id order
-    next_id: int = 0
-    now: float = 0.0
-    min_slo: Optional[float] = None
-    migrations: int = 0
+    The serving state is the C kernel's own packed buffers (layouts in
+    :mod:`repro.fleet._native`): one row per replica ever added, by
+    replica id, which every kernel call updates in place.  Python writes
+    them only when the live set changes (add, fail, recover, remove) or
+    a gray window starts or ends.
+    """
+
+    replicas: List[_Rep]             # id order
+    live_ids: np.ndarray             # int64 ids of the live replicas, ascending
+    # The kernel's scalars: carried doubles (retry tokens, tightest
+    # accepted SLO, last brownout change, clock) then run constants, and
+    # carried integers (brownout level, retry seq, heap size, migrations,
+    # chaos counters) plus per-call outputs, then run constants.
+    fv: np.ndarray
+    iv: np.ndarray
+    prices: np.ndarray
+    rf: np.ndarray
+    ri: np.ndarray
+    li: np.ndarray
+    qidx: np.ndarray
+    qenq: np.ndarray
+    qhedge: Optional[np.ndarray]      # without hedging: None
+    br_recent: Optional[np.ndarray]   # without breakers: None
+    # Scheduled backoff retries, a min-heap on (due ms, seq) of
+    # iv[I_HEAP] entries; key rows are (seq, request, attempt).  seq
+    # increments in scheduling order, matching the event loop's
+    # numbering of _RETRY events.  None without retries.
+    h_due: Optional[np.ndarray]
+    h_key: Optional[np.ndarray]
     # autoscaler state
     cooldown: int = 0
     last_tick: float = 0.0
@@ -192,19 +225,51 @@ class ColumnarFleetState:
     # has not sampled yet; only filled when it needs its window-p99
     # signal, pruned to finishes past the last tick at every tick.
     hist: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    # chaos-layer state (rides the shard pickle like everything else)
-    chaos: ChaosStats = field(default_factory=ChaosStats)
-    budget: Optional[RetryBudget] = None
-    brownout: Optional[BrownoutLadder] = None
-    # scheduled backoff retries: min-heap of (due_ms, seq, idx, attempt);
-    # seq increments in scheduling order, matching the event loop's
-    # event-sequence numbering of _RETRY events (same relative order).
-    retry_heap: List[Tuple[float, int, int, int]] = field(default_factory=list)
-    retry_seq: int = 0
-    # hedged pairs: (rid, request idx) -> (twin rid, shared bucket slot),
-    # both directions, plus the set of primary keys (for hedge_wins).
-    hedge: Dict[Tuple[int, int], Tuple[int, int]] = field(default_factory=dict)
-    hedge_primary: Set[Tuple[int, int]] = field(default_factory=set)
+
+    def rows(self) -> _Rows:
+        n, B = self.qidx.shape[:2]
+        ri = self.ri
+        depth, order, seen = self.li[n:].reshape(3, n, B)
+        return _Rows(
+            *self.rf.reshape(5, n), ri[:n], ri[n : 2 * n],
+            ri[2 * n :].reshape(n, 5), self.li[:n], depth, order, seen,
+            self.qidx, self.qenq, self.qhedge,
+        )
+
+    @property
+    def next_dl(self) -> np.ndarray:
+        n = len(self.replicas)
+        return self.rf[3 * n : 4 * n]
+
+    @property
+    def min_slo(self) -> Optional[float]:
+        """The tightest SLO admitted so far (``None`` before any)."""
+        value = float(self.fv[F_MIN_SLO])
+        return None if math.isinf(value) else value
+
+    @property
+    def retry_heap(self) -> List[Tuple[float, int, int, int]]:
+        """The scheduled retries as ``(due ms, seq, request, attempt)``."""
+        n = int(self.iv[I_HEAP])
+        if not n:
+            return []
+        return list(zip(self.h_due[:n].tolist(), *self.h_key[:n].T.tolist()))
+
+
+def _append_rows(buffer: np.ndarray, n: int, rows: Sequence[tuple]) -> np.ndarray:
+    """A field-major buffer of ``n`` replica rows, plus ``rows``.
+
+    Each new row holds its value of each field, in buffer order; a
+    field's width is the size of its value.
+    """
+    parts = []
+    pos = 0
+    for values in zip(*rows):
+        block = np.asarray(values, dtype=buffer.dtype).reshape(-1)
+        width = block.shape[0] // len(rows)
+        parts += (buffer[pos : pos + n * width], block)
+        pos += n * width
+    return np.concatenate(parts)
 
 
 @dataclass
@@ -306,6 +371,47 @@ def _encode_length(tokenizer, text_a, text_b, max_seq_len: int) -> int:
     return int(mask.sum())
 
 
+def _trace_buckets(cols: ColumnarTrace, tokenizer, policy) -> np.ndarray:
+    """The trace's read-only per-request bucket column, memoized on it.
+
+    Bucketing is a pure function of the text, and every text comes from
+    a small per-tenant pool — so each pool entry is tokenized once and
+    per-request indices are one integer gather through a flattened pool
+    table, not a 100M-row tokenize + searchsorted.  The
+    column depends only on (tokenizer, max_seq_len, buckets), so runs
+    sharing the trace share it: the key holds the tokenizer's id and the
+    value the tokenizer itself, which keeps that id from being reused.
+    """
+    key = (id(tokenizer), policy.max_seq_len, tuple(policy.buckets))
+    memo = cols.bucket_memo.get(key)
+    if memo is not None:
+        return memo[1]
+    batching = policy.batching_policy()
+    pool_buckets = [
+        batching.bucket_indices(
+            np.asarray(
+                [
+                    _encode_length(tokenizer, text, None, policy.max_seq_len)
+                    for text in pool
+                ],
+                dtype=np.int64,
+            )
+        ).astype(np.int32)
+        for pool in cols.pools()
+    ]
+    if len(pool_buckets) == 1:
+        bucket_idx = pool_buckets[0][cols.draw]
+    else:
+        offsets = np.zeros(len(pool_buckets), dtype=np.int64)
+        for tid in range(1, len(pool_buckets)):
+            offsets[tid] = offsets[tid - 1] + pool_buckets[tid - 1].shape[0]
+        flat = np.concatenate(pool_buckets)
+        bucket_idx = flat[offsets[cols.tenant_idx] + cols.draw]
+    bucket_idx.flags.writeable = False
+    cols.bucket_memo[key] = (tokenizer, bucket_idx)
+    return bucket_idx
+
+
 def _prepare(
     scenario: Union[str, Scenario, ColumnarTrace, Sequence[FleetRequest]],
     model,
@@ -363,32 +469,7 @@ def _prepare(
             slo = np.full(cols.num_requests, tenant_slos[0], dtype=np.float64)
         else:
             slo = tenant_slos[tenant_idx]
-        # Bucketing is a pure function of the text, and every text comes
-        # from a small per-tenant pool — so tokenize and bucket each pool
-        # entry once, then gather per-request bucket indices through a
-        # flattened pool table.  One integer gather over the trace instead
-        # of a 100M-row tokenize + searchsorted.
-        batching = policy.batching_policy()
-        pool_buckets = [
-            batching.bucket_indices(
-                np.asarray(
-                    [
-                        _encode_length(tokenizer, text, None, policy.max_seq_len)
-                        for text in pool
-                    ],
-                    dtype=np.int64,
-                )
-            ).astype(np.int32)
-            for pool in cols.pools()
-        ]
-        if len(pool_buckets) == 1:
-            bucket_idx = pool_buckets[0][cols.draw]
-        else:
-            offsets = np.zeros(len(pool_buckets), dtype=np.int64)
-            for tid in range(1, len(pool_buckets)):
-                offsets[tid] = offsets[tid - 1] + pool_buckets[tid - 1].shape[0]
-            flat = np.concatenate(pool_buckets)
-            bucket_idx = flat[offsets[tenant_idx] + cols.draw]
+        bucket_idx = _trace_buckets(cols, tokenizer, policy)
         arrival = cols.arrival_ms
         uniform_slo = (
             float(tenant_slos[0]) if np.unique(tenant_slos).size == 1 else 0.0
@@ -517,9 +598,9 @@ class ColumnarFleetEngine:
     """:class:`~repro.fleet.fleet.Fleet` + runner over columnar state.
 
     Every decision and every flush happens in the C kernel, which
-    compiles the functions the event loop calls; Python keeps the
-    replica lifecycle (add, fail, recover, remove), the autoscaler tick
-    and the packing of state around each kernel call.
+    compiles the functions the event loop calls, on state kept in the
+    kernel's own layouts between calls; Python keeps the replica
+    lifecycle (add, fail, recover, remove) and the autoscaler tick.
     """
 
     def __init__(self, prep: _Prepared, obs=None):
@@ -546,7 +627,8 @@ class ColumnarFleetEngine:
         # The batch log only has consumers when something watches.
         self._logging = self.obs is not None or self.track_hist
         # The kernel's run constants (its fp / ip slots, in enum order);
-        # each call sets the live count, time limit, flags and migrants.
+        # the live set sets the live and row counts, each call the time
+        # limit, flags and migrants.
         self._fp = np.array(
             [
                 self.wait, self.factor, prep.uniform_slo, -math.inf,
@@ -562,7 +644,7 @@ class ColumnarFleetEngine:
         )
         self._ip = np.array(
             [
-                0, self.B, self.M, 0, 0, 0, policy.max_retries, policy.hedge,
+                0, 0, self.B, self.M, 0, 0, 0, policy.max_retries, policy.hedge,
                 policy.breaker, policy.brownout, policy.breaker_window,
                 policy.breaker_min_samples, policy.breaker_probes,
                 len(policy.brownout_levels), 0,
@@ -573,7 +655,8 @@ class ColumnarFleetEngine:
             np.int64
         )
         # Per-request finish times and shed codes the kernel writes, and
-        # its other run-long arrays, passed by address on every call.
+        # its other run-long arrays, passed by address on every call
+        # after the state's buffers (see _bind).
         n = prep.num_requests
         self._finish_scratch = np.zeros(n, dtype=np.float64)
         self._shed_scratch = np.zeros(n, dtype=np.uint8)
@@ -587,8 +670,8 @@ class ColumnarFleetEngine:
             np.empty(self.B, dtype=np.int64),     # due_b scratch
         )
         self._static = [array.ctypes.data for array in self._static_arrays]
-        # Price tables packed per live set (ref_price, price_full, svc).
-        self._prices: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._bound: Optional[tuple] = None
+        self._bound_ptrs: List[Optional[int]] = []
 
     # ------------------------------------------------------------------
     # pricing
@@ -600,13 +683,15 @@ class ColumnarFleetEngine:
             svc = service_table(
                 self.prep.model_config, spec.accel_config, spec.device,
                 self.prep.config.serving.buckets, self.M,
-            ).tolist()
-            price_full = [row[self.M] for row in svc]
+            )
+            price_full = svc[:, self.M]
             tables = self._tables[key] = _DesignTables(
                 price_full=price_full,
-                ref_price=price_full[self.ref_idx],
+                ref_price=float(price_full[self.ref_idx]),
                 svc=svc,
-                cold_ms=self.prep.config.cold_start_batches * svc[self.B - 1][self.M],
+                cold_ms=(
+                    self.prep.config.cold_start_batches * float(price_full[self.B - 1])
+                ),
             )
         return tables
 
@@ -614,46 +699,90 @@ class ColumnarFleetEngine:
     # state lifecycle (Fleet.add/fail/recover/remove on _Rep state)
     # ------------------------------------------------------------------
     def initial_state(self) -> ColumnarFleetState:
-        state = ColumnarFleetState()
         policy = self.policy
-        state.budget = RetryBudget.from_policy(policy)
-        if policy.brownout:
-            state.brownout = BrownoutLadder.from_policy(policy)
-        for spec in self.prep.specs:
-            self._add_replica(state, spec, now=0.0, cold=False)
+        B, M = self.B, self.M
+        # Carried doubles: a full retry budget, no accepted SLO yet, the
+        # brownout ladder's last change and the clock at zero.
+        fv = np.concatenate(
+            ([policy.retry_budget_burst, math.inf, 0.0, 0.0], self._fp)
+        )
+        iv = np.concatenate((np.zeros(I_COUNT, dtype=np.int64), self._ip))
+        retries = policy.max_retries > 0
+        if retries:
+            iv[I_HEAP_CAP] = _HEAP_START
+        state = ColumnarFleetState(
+            replicas=[],
+            live_ids=np.empty(0, dtype=np.int64),
+            fv=fv,
+            iv=iv,
+            prices=np.empty(0, dtype=np.float64),
+            rf=np.empty(0, dtype=np.float64),
+            ri=np.empty(0, dtype=np.int64),
+            li=np.empty(0, dtype=np.int32),
+            qidx=np.empty((0, B, M), dtype=np.int64),
+            qenq=np.empty((0, B, M), dtype=np.float64),
+            qhedge=np.empty((0, B, M), dtype=np.int32) if policy.hedge else None,
+            br_recent=(
+                np.empty((0, policy.breaker_window), dtype=np.uint8)
+                if policy.breaker else None
+            ),
+            h_due=np.empty(_HEAP_START, dtype=np.float64) if retries else None,
+            h_key=np.empty((_HEAP_START, 3), dtype=np.int64) if retries else None,
+        )
+        self._add_replicas(state, self.prep.specs, now=0.0, cold=False)
         # Autoscaler construction snapshots total busy time (zero at t=0).
         state.busy_snapshot = 0.0
         return state
 
-    def _add_replica(
-        self, state: ColumnarFleetState, spec: ReplicaSpec, now: float, cold: bool
-    ) -> _Rep:
-        tables = self.tables_for(spec)
-        rep = _Rep(
-            replica_id=state.next_id,
-            spec=spec,
-            tables=tables,
-            added_ms=now,
-            # engine starts idle; a cold start blocks the device until
-            # now + cold_ms (router.block_until's max against zero).
-            busy_until=(now + tables.cold_ms) if cold else 0.0,
-            queues=[[] for _ in range(self.B)],
-            seen=[False] * self.B,
+    def _add_replicas(
+        self,
+        state: ColumnarFleetState,
+        specs: Sequence[ReplicaSpec],
+        now: float,
+        cold: bool,
+    ) -> None:
+        """Append one kernel row per spec, in id order."""
+        n = len(state.replicas)
+        tables = [self.tables_for(spec) for spec in specs]
+        B = self.B
+        # The engine starts idle; a cold start blocks the device until
+        # now + cold_ms (router.block_until's max against zero).  A fresh
+        # breaker is closed with no history (code 0, all counts 0).
+        state.prices = _append_rows(
+            state.prices, n, [(t.ref_price, t.price_full, t.svc) for t in tables]
         )
-        if self.policy.breaker:
-            rep.breaker = CircuitBreaker.from_policy(self.policy)
-        state.next_id += 1
-        state.replicas.append(rep)
-        self._rebuild_live(state)
-        if self.obs is not None:
-            self.obs.on_replica(
-                rep.replica_id, spec.label, now, tables.cold_ms if cold else 0.0
+        state.rf = _append_rows(state.rf, n, [
+            ((now + t.cold_ms) if cold else 0.0, 0.0, 1.0, math.inf, 0.0)
+            for t in tables
+        ])
+        state.ri = _append_rows(state.ri, n, [(0, 0, np.zeros(5))] * len(specs))
+        blank = np.zeros(B)
+        state.li = _append_rows(
+            state.li, n, [(0, blank, blank, blank)] * len(specs)
+        )
+        for name, fill in (
+            ("qidx", 0), ("qenq", 0.0), ("qhedge", -1), ("br_recent", 0)
+        ):
+            rows = getattr(state, name)
+            if rows is not None:
+                shape = (len(specs),) + rows.shape[1:]
+                blanks = np.full(shape, fill, dtype=rows.dtype)
+                setattr(state, name, np.concatenate((rows, blanks)))
+        state.iv[I_COUNT + Q_N] = n + len(specs)
+        for rid, (spec, t) in enumerate(zip(specs, tables), start=n):
+            state.replicas.append(
+                _Rep(replica_id=rid, spec=spec, tables=t, added_ms=now)
             )
-        return rep
+            if self.obs is not None:
+                self.obs.on_replica(rid, spec.label, now, t.cold_ms if cold else 0.0)
+        self._set_live(state)
 
     @staticmethod
-    def _rebuild_live(state: ColumnarFleetState) -> None:
-        state.live = [r for r in state.replicas if r.live]
+    def _set_live(state: ColumnarFleetState) -> None:
+        state.live_ids = np.array(
+            [r.replica_id for r in state.replicas if r.live], dtype=np.int64
+        )
+        state.iv[I_COUNT + Q_L] = state.live_ids.shape[0]
 
     def _fail(self, state: ColumnarFleetState, rid: int, now: float, acc: _Accum):
         rep = state.replicas[rid] if rid < len(state.replicas) else None
@@ -663,10 +792,10 @@ class ColumnarFleetEngine:
         rep.retired_ms = now
         rep.failures += 1
         rep.failed = True
-        self._rebuild_live(state)
+        self._set_live(state)
         if self.obs is not None:
-            self.obs.on_failure(rep.replica_id, now)
-        self._migrate(state, rep, now, acc)
+            self.obs.on_failure(rid, now)
+        self._migrate(state, rid, now, acc)
 
     def _recover(self, state: ColumnarFleetState, rid: int, now: float):
         # Same down-cause guard as Fleet.recover_replica: only a replica
@@ -678,43 +807,52 @@ class ColumnarFleetEngine:
             return
         rep.failed = False
         cold = rep.tables.cold_ms
-        rep.busy_until = max(rep.busy_until, now + cold)
+        busy_until = state.rows().busy_until
+        busy_until[rid] = max(float(busy_until[rid]), now + cold)
         if self.obs is not None:
-            self.obs.on_recovery(rep.replica_id, now, cold)
+            self.obs.on_recovery(rid, now, cold)
         rep.live = True
         if rep.retired_ms is not None:
             rep.downtime_ms += now - rep.retired_ms
         rep.retired_ms = None
-        self._rebuild_live(state)
+        self._set_live(state)
 
-    def _remove(self, state: ColumnarFleetState, rep: _Rep, now: float, acc: _Accum):
+    def _remove(self, state: ColumnarFleetState, rid: int, now: float, acc: _Accum):
+        rep = state.replicas[rid]
         rep.live = False
         rep.retired_ms = now
-        self._rebuild_live(state)
-        self._migrate(state, rep, now, acc)
+        self._set_live(state)
+        self._migrate(state, rid, now, acc)
 
     def _migrate(
-        self, state: ColumnarFleetState, rep: _Rep, now: float, acc: _Accum
+        self, state: ColumnarFleetState, rid: int, now: float, acc: _Accum
     ) -> None:
         """``Fleet._migrate_pending``: evict in enqueue order, re-place at now."""
+        rows = state.rows()
+        depth = rows.depth[rid].tolist()
+        idx_q = rows.qidx[rid].tolist()
+        enq_q = rows.qenq[rid].tolist()
         evicted = sorted(
-            ((enq, idx, b) for b in rep.order for idx, enq in rep.queues[b]),
+            (
+                (enq_q[b][j], idx_q[b][j], b, j)
+                for b in rows.order[rid, : rows.order_n[rid]].tolist()
+                for j in range(depth[b])
+            ),
             key=lambda e: e[0],
         )  # stable, like evict_all
-        rep.queues = [[] for _ in range(self.B)]
-        rep.pending = 0
-        rep.next_dl = None
+        rows.depth[rid] = 0
+        rows.next_dl[rid] = math.inf
         migrants = []
-        for _enq, idx, b in evicted:
-            twin = state.hedge.pop((rep.replica_id, idx), None)
-            if twin is not None:
+        for _enq, idx, b, j in evicted:
+            mark = -1 if rows.qhedge is None else int(rows.qhedge[rid, b, j])
+            if mark >= 0:
                 # One copy of a hedged pair was queued here; the twin
                 # (still queued elsewhere) carries the request alone —
-                # drop this copy instead of migrating it, exactly like
-                # Fleet._migrate_pending.
-                del state.hedge[(twin[0], idx)]
-                state.hedge_primary.discard((rep.replica_id, idx))
-                state.hedge_primary.discard((twin[0], idx))
+                # drop this copy instead of migrating it and unmark the
+                # twin, exactly like Fleet._migrate_pending.
+                twin = mark >> 1
+                pos = rows.qidx[twin, b, : rows.depth[twin, b]].tolist().index(idx)
+                rows.qhedge[twin, b, pos] = -1
                 continue
             migrants.append((idx, b))
         if migrants:
@@ -727,10 +865,12 @@ class ColumnarFleetEngine:
     def _tick(self, state: ColumnarFleetState, now: float, acc: _Accum) -> None:
         # The sweep up to this instant has post-passed every batch it
         # flushed, so the latency history is complete.
-        live_n = len(state.live)
+        rows = state.rows()
+        live_ids = state.live_ids.tolist()
+        live_n = len(live_ids)
         total_busy = 0.0
-        for rep in state.replicas:  # creation order == id order, like _total_busy_ms
-            total_busy += rep.busy_ms
+        for busy_ms in rows.busy_ms.tolist():  # id order, like _total_busy_ms
+            total_busy += busy_ms
         samples: List[float] = []
         if state.hist:
             # Completions finishing in (last tick, now] are this window's
@@ -745,9 +885,9 @@ class ColumnarFleetEngine:
             now - state.last_tick, total_busy - state.busy_snapshot, live_n,
             samples, state.min_slo,
         )
-        depth = 0
-        for rep in state.live:
-            depth += rep.pending
+        # Down replicas queue nothing, so every row's depth counts.
+        pending = rows.depth.sum(axis=1).tolist()
+        depth = sum(pending)
         if self.obs is not None:
             # Same floats as Autoscaler.tick: busy/window accounting and the
             # sorted-percentile p99 are order-insensitive, so the counter
@@ -763,11 +903,11 @@ class ColumnarFleetEngine:
             return
         if action == SCALE_UP:
             scale_spec = self.prep.scale_spec or state.replicas[0].spec
-            self._add_replica(state, scale_spec, now=now, cold=True)
+            self._add_replicas(state, [scale_spec], now=now, cold=True)
         else:
-            victim = min(state.live, key=lambda r: (r.pending, -r.replica_id))
+            victim = min(live_ids, key=lambda rid: (pending[rid], -rid))
             self._remove(state, victim, now, acc)
-        event = ScaleEvent(now, action, reason, len(state.live))
+        event = ScaleEvent(now, action, reason, len(state.live_ids))
         state.events.append(event)
         if self.obs is not None:
             self.obs.on_scale(event)
@@ -796,14 +936,11 @@ class ColumnarFleetEngine:
         _TICK``); with ``advance``, the batching deadlines due by
         ``limit`` (``Fleet.advance``).  Then the post-pass.
         """
-        heap = state.retry_heap
         if not (
             hi > lo
             or migrants
-            or (heap and heap[0][0] <= limit)
-            or (advance and any(
-                r.next_dl is not None and r.next_dl <= limit for r in state.live
-            ))
+            or (state.iv[I_HEAP] and state.h_due[0] <= limit)
+            or (advance and state.next_dl.min() <= limit)
         ):
             return
         sheds, events = self._run_kernel(
@@ -879,13 +1016,13 @@ class ColumnarFleetEngine:
         advance: bool,
         migrants: Sequence[Tuple[int, int]],
     ) -> Tuple[np.ndarray, Optional[list]]:
-        """Pack state, run the C kernel (see :meth:`_sweep`), unpack.
+        """Run the C kernel on the state's buffers (see :meth:`_sweep`).
 
         The kernel runs over chunks of at most :data:`SWEEP_CHUNK`
-        arrivals with the packed state carried from call to call, so its
-        batch logs are sized per chunk, never per trace; they are NULL
-        when nothing reads them.  Breakers, the retry heap and hedged
-        pairs are packed only when the policy turns them on.
+        arrivals, updating the state in place, so its batch logs are
+        sized per chunk, never per trace; they are NULL when nothing
+        reads them.  A call that fills the retry heap stops early, and
+        resumes once the heap has doubled.
 
         Returns:
             The indices of the requests finally shed, and the observer
@@ -895,100 +1032,18 @@ class ColumnarFleetEngine:
         """
         lib = _native.load()
         policy = self.policy
-        lreps = state.live
-        L = len(lreps)
+        L = int(state.live_ids.shape[0])
         B = self.B
         M = self.M
-        chaos = state.chaos
-        ladder = state.brownout
-        heap = state.retry_heap
-
-        # Scalars: fv = fs + fp, iv = is + ip (the kernel's enums).
-        fv = np.concatenate(([
-            state.budget.tokens,
-            math.inf if state.min_slo is None else state.min_slo,
-            ladder.last_change_ms if ladder is not None else 0.0,
-            state.now,
-        ], self._fp))
-        fs, fp = fv[:F_COUNT], fv[F_COUNT:]
-        iv = np.concatenate((np.zeros(I_COUNT, dtype=np.int64), self._ip))
+        fv, iv = state.fv, state.iv
+        fp = fv[F_COUNT:]
         is_, ip = iv[:I_COUNT], iv[I_COUNT:]
-        is_[I_LEVEL] = ladder.level if ladder is not None else 0
-        is_[I_SEQ] = state.retry_seq
-        is_[I_HEAP] = len(heap)
-        is_[I_MIGRATIONS] = state.migrations
-        is_[I_RETRIES : I_DEESC + 1] = [getattr(chaos, c) for c in _KERNEL_COUNTERS]
-        ip[Q_L] = L
         ip[Q_MIGRANTS] = len(migrants)
-
-        # Replica state, in the kernel's packed layouts.
-        key = tuple(id(r.tables) for r in lreps)
-        prices = self._prices.get(key)
-        if prices is None:
-            prices = self._prices[key] = np.concatenate((
-                [r.tables.ref_price for r in lreps],
-                np.reshape([r.tables.price_full for r in lreps], -1),
-                np.reshape([r.tables.svc for r in lreps], -1),
-            )).astype(np.float64)
-        rf = np.array([
-            [r.busy_until for r in lreps],
-            [r.busy_ms for r in lreps],
-            [r.slowdown for r in lreps],
-            [math.inf if r.next_dl is None else r.next_dl for r in lreps],
-            [r.breaker.open_until_ms if r.breaker else 0.0 for r in lreps],
-        ], dtype=np.float64).reshape(5, L)
-        ri = np.zeros(7 * L, dtype=np.int64)
-        ri[:L] = [r.batches for r in lreps]
-        ri[L : 2 * L] = [r.requests for r in lreps]
-        br = ri[2 * L :].reshape(L, 5)
-        li = np.zeros(L + 3 * L * B, dtype=np.int32)
-        order_n = li[:L]
-        depth, order, seen = li[L:].reshape(3, L, B)
-        qidx = np.zeros((L, B, M), dtype=np.int64)
-        qenq = np.zeros((L, B, M), dtype=np.float64)
-        for k, rep in enumerate(lreps):
-            order_n[k] = len(rep.order)
-            order[k, : order_n[k]] = rep.order
-            seen[k] = rep.seen
-            for b, queue in enumerate(rep.queues):
-                depth[k, b] = len(queue)
-                if queue:
-                    qidx[k, b, : len(queue)], qenq[k, b, : len(queue)] = zip(*queue)
-        rids = np.array([r.replica_id for r in lreps], dtype=np.int64)
-        slot_of = {rid: k for k, rid in enumerate(rids.tolist())}
-        qhedge = None
-        if policy.hedge:
-            qhedge = np.full((L, B, M), -1, dtype=np.int32)
-            for (rid, idx), (twin, b) in state.hedge.items():
-                k = slot_of[rid]
-                pos = [q for q, _ in lreps[k].queues[b]].index(idx)
-                primary = (rid, idx) in state.hedge_primary
-                qhedge[k, b, pos] = 2 * slot_of[twin] + primary
-        br_recent = None
-        if policy.breaker:
-            br_recent = np.zeros((L, policy.breaker_window), dtype=np.uint8)
-            for k, rep in enumerate(lreps):
-                breaker = rep.breaker
-                n = len(breaker.recent)
-                br[k] = (
-                    _BREAKER_CODE[breaker.state], breaker.probes_left, n,
-                    breaker.opens, breaker.closes,
-                )
-                br_recent[k, :n] = breaker.recent
-        h_due = h_key = None
-        if policy.max_retries > 0:
-            # Room for every request the heap can hold: each pending one
-            # plus each arrival of the span, once.
-            h_due = np.empty(len(heap) + (hi - lo), dtype=np.float64)
-            h_key = np.empty((len(heap) + (hi - lo), 3), dtype=np.int64)
-            if heap:
-                h_due[: len(heap)] = [entry[0] for entry in heap]
-                h_key[: len(heap)] = [entry[1:] for entry in heap]
         moved = np.array(migrants, dtype=np.int64) if migrants else None
 
         # Logs.  A call completes or finally sheds each of its arrivals,
         # queued requests, migrants and pending retries at most once.
-        bound = (hi - lo) + int(depth.sum()) + len(migrants) + len(heap)
+        bound = (hi - lo) + L * B * M + len(migrants) + int(is_[I_HEAP])
         done_log = np.empty(bound, dtype=np.int64)
         # Sheds other than arrivals of an all-off run go to a log.
         logged_sheds = policy.enabled or bool(migrants)
@@ -1002,23 +1057,20 @@ class ColumnarFleetEngine:
             # holds the migrants' and one step's events works.
             room = L * (B + 1) + len(policy.brownout_levels) + 4
             is_[I_EV_CAP] = (
-                2 * min(hi - lo + len(heap), SWEEP_CHUNK) + 4 * room
+                2 * min(hi - lo + int(is_[I_HEAP]), SWEEP_CHUNK) + 4 * room
                 + len(migrants) * (B + 2)
             )
             ev_i = np.empty((is_[I_EV_CAP], 3), dtype=np.int32)
             ev_t = np.empty(is_[I_EV_CAP], dtype=np.float64)
 
-        state_ptrs = [
-            _ptr(a) for a in (
-                prices, rf, ri, li, qidx, qenq, qhedge, br_recent,
-            )
-        ]
         done_at, shed_at = _ptr(done_log), _ptr(shed_log)
-        tail_ptrs = [_ptr(a) for a in (h_due, h_key, ev_i, ev_t, moved)]
+        tail_ptrs = [_ptr(a) for a in (ev_i, ev_t, moved)]
         written = 0
         shed_n = 0
         pos = lo
         while True:
+            if state.h_due is not None and is_[I_HEAP] == is_[I_HEAP_CAP]:
+                self._grow_heap(state)
             end = min(pos + SWEEP_CHUNK, hi)
             last = end == hi
             queued = L * B * M + int(ip[Q_MIGRANTS]) + int(is_[I_HEAP])
@@ -1037,8 +1089,8 @@ class ColumnarFleetEngine:
             ip[Q_INCLUSIVE] = inclusive and last
             ip[Q_ADVANCE] = advance and last
             lib.arrival_run(
-                pos, end, fv.ctypes.data, iv.ctypes.data, *self._static,
-                *state_ptrs, done_at + 8 * written,
+                pos, end, *self._bind(state), *self._static,
+                done_at + 8 * written,
                 _ptr(done_enq), _ptr(log_ints), _ptr(log_times),
                 None if shed_at is None else shed_at + 8 * shed_n,
                 *tail_ptrs,
@@ -1051,83 +1103,45 @@ class ColumnarFleetEngine:
                 )
             count, flushes = int(is_[I_DONE]), int(is_[I_FLUSHES])
             if logging and flushes:
-                log = _Batches.of(
+                acc.logged.append(_Batches.of(
                     log_ints[:flushes], log_times[:flushes],
                     done_log[written : written + count].copy(),
                     done_enq[:count].copy(),
-                )
-                acc.logged.append(log._replace(rid=rids[log.rid]))
+                ))
             written += count
             shed_n += int(is_[I_SHEDS])
             if events is not None and is_[I_EVENTS]:
-                ev = ev_i[: is_[I_EVENTS]].copy()
-                breaker_rows = ev[:, 0] == _native.EV_BREAKER
-                ev[breaker_rows, 1] = rids[ev[breaker_rows, 1]]
-                events.extend(zip(*ev.T.tolist(), ev_t[: is_[I_EVENTS]].tolist()))
+                n = int(is_[I_EVENTS])
+                events.extend(zip(*ev_i[:n].T.tolist(), ev_t[:n].tolist()))
             pos = int(is_[I_STOP])
             if last and is_[I_FINISHED]:
                 break
         done = done_log[:written].copy()
         acc.done_parts.append((done, self._finish_scratch[done]))
-
-        busy_until, busy_ms, _, next_dl, br_until = rf.tolist()
-        counts = ri[: 2 * L].tolist()
-        rows = zip(
-            order_n.tolist(), order.tolist(), (seen != 0).tolist(),
-            depth.tolist(), qidx.tolist(), qenq.tolist(),
-        )
-        for k, (rep, (n, order_k, seen_k, depth_k, idx_k, enq_k)) in enumerate(
-            zip(lreps, rows)
-        ):
-            rep.busy_until = busy_until[k]
-            rep.busy_ms = busy_ms[k]
-            rep.batches = counts[k]
-            rep.requests = counts[L + k]
-            rep.order = order_k[:n]
-            rep.seen = seen_k
-            rep.queues = [
-                list(zip(idx_k[b][:d], enq_k[b][:d])) for b, d in enumerate(depth_k)
-            ]
-            rep.pending = sum(depth_k)
-            rep.next_dl = None if math.isinf(next_dl[k]) else next_dl[k]
-        if qhedge is not None:
-            queued = np.arange(M) < depth[:, :, None]
-            state.hedge = {}
-            state.hedge_primary = set()
-            for k, b, j in zip(*np.nonzero((qhedge >= 0) & queued)):
-                key = (int(rids[k]), int(qidx[k, b, j]))
-                mark = int(qhedge[k, b, j])
-                state.hedge[key] = (int(rids[mark >> 1]), int(b))
-                if mark & 1:
-                    state.hedge_primary.add(key)
-        if br_recent is not None:
-            for k, rep in enumerate(lreps):
-                breaker = rep.breaker
-                code, probes, n, opens, closes = br[k].tolist()
-                breaker.state = _BREAKER_STATES[code]
-                breaker.probes_left = probes
-                breaker.recent = [bool(x) for x in br_recent[k, :n]]
-                breaker.opens = opens
-                breaker.closes = closes
-                breaker.open_until_ms = br_until[k]
-        if h_due is not None:
-            n = int(is_[I_HEAP])
-            state.retry_heap = list(zip(h_due[:n].tolist(), *h_key[:n].T.tolist()))
-        tokens, min_slo, change, now = fs.tolist()
-        state.budget.tokens = tokens
-        state.min_slo = None if math.isinf(min_slo) else min_slo
-        if ladder is not None:
-            ladder.level = int(is_[I_LEVEL])
-            ladder.last_change_ms = change
-        state.now = now
-        state.retry_seq = int(is_[I_SEQ])
-        state.migrations = int(is_[I_MIGRATIONS])
-        for name, value in zip(_KERNEL_COUNTERS, is_[I_RETRIES : I_DEESC + 1].tolist()):
-            setattr(chaos, name, value)
         if shed_log is not None:
             return shed_log[:shed_n].copy(), events
         shed = self._shed_scratch[lo:hi]
         return np.flatnonzero(shed).astype(np.int64, copy=False) + lo, None
+
+    def _bind(self, state: ColumnarFleetState) -> List[Optional[int]]:
+        """The kernel's scalar and state arguments: the addresses of the
+        state's buffers, recomputed only when one was replaced."""
+        buffers = (
+            state.fv, state.iv, state.prices, state.rf, state.ri, state.li,
+            state.live_ids, state.qidx, state.qenq, state.qhedge,
+            state.br_recent, state.h_due, state.h_key,
+        )
+        if self._bound is None or any(map(operator.is_not, buffers, self._bound)):
+            self._bound = buffers
+            self._bound_ptrs = [_ptr(a) for a in buffers]
+        return self._bound_ptrs
+
+    @staticmethod
+    def _grow_heap(state: ColumnarFleetState) -> None:
+        n = state.h_due.shape[0]
+        state.h_due = np.concatenate((state.h_due, np.empty(n)))
+        state.h_key = np.concatenate((state.h_key, np.empty((n, 3), dtype=np.int64)))
+        state.iv[I_HEAP_CAP] = 2 * n
 
     # ------------------------------------------------------------------
     # windows, drain, report
@@ -1163,17 +1177,17 @@ class ColumnarFleetEngine:
                 # Unknown ids are a no-op, like Fleet.set_slowdown — but
                 # the trace instant is still recorded (the plan said so).
                 if rid < len(state.replicas):
-                    state.replicas[rid].slowdown = slowdown
+                    state.rows().slowdown[rid] = slowdown
                 if self.obs is not None:
                     self.obs.on_gray(rid, time_ms, end_ms, slowdown)
             elif kind == _GRAY_END:
                 rid = event[3]
                 if rid < len(state.replicas):
-                    state.replicas[rid].slowdown = 1.0
+                    state.rows().slowdown[rid] = 1.0
             else:  # _RECOVER
                 self._recover(state, event[3], time_ms)
-            if time_ms > state.now:
-                state.now = time_ms
+            if time_ms > state.fv[F_NOW]:
+                state.fv[F_NOW] = time_ms
         self._sweep(state, acc, pos, ahi)
         return acc.to_partial()
 
@@ -1219,6 +1233,10 @@ class ColumnarFleetEngine:
             if part.num_done:
                 last_finish = max(last_finish, float(part.done_fin.max()))
         duration = max(prep.duration_ms, last_finish)
+        rows = state.rows()
+        busy_ms = rows.busy_ms.tolist()
+        batches = rows.batches.tolist()
+        served = rows.served.tolist()
         replica_rows = [
             build_replica_stats(
                 rep.replica_id,
@@ -1226,9 +1244,9 @@ class ColumnarFleetEngine:
                 rep.added_ms,
                 rep.retired_ms,
                 rep.failures,
-                rep.busy_ms,
-                rep.batches,
-                rep.requests,
+                busy_ms[rep.replica_id],
+                batches[rep.replica_id],
+                served[rep.replica_id],
                 rep.downtime_ms,
                 duration,
             )
@@ -1237,13 +1255,16 @@ class ColumnarFleetEngine:
         chaos = None
         if prep.chaos_active:
             # Breaker transitions are counted per breaker (the kernel
-            # carries them in its breaker arrays); the rollup here equals
-            # the event loop's live tally.
-            chaos = state.chaos
-            for rep in state.replicas:
-                if rep.breaker is not None:
-                    chaos.breaker_opens += rep.breaker.opens
-                    chaos.breaker_closes += rep.breaker.closes
+            # carries them in its breaker rows, zero without breakers);
+            # the rollup here equals the event loop's live tally.
+            opens, closes = rows.br[:, 3:].sum(axis=0).tolist()
+            chaos = ChaosStats(
+                **dict(zip(
+                    _KERNEL_COUNTERS, state.iv[I_RETRIES : I_DEESC + 1].tolist()
+                )),
+                breaker_opens=opens,
+                breaker_closes=closes,
+            )
         stats = build_fleet_stats_columns(
             duration_ms=duration,
             tenant_names=prep.tenant_names,
@@ -1253,7 +1274,7 @@ class ColumnarFleetEngine:
             finish_ms=finish,
             shed_code=shed,
             shed_reasons=SHED_REASON_OF_CODE,
-            migrations=state.migrations,
+            migrations=int(state.iv[I_MIGRATIONS]),
             replicas=replica_rows,
             scale_events=list(state.events),
             chaos=chaos,
@@ -1527,18 +1548,15 @@ def run_scenario_columnar(
                 # a queue carried across the boundary may still flush
                 # (and finish) before the edge itself.
                 edge = prep.duration_ms * (k + 1) / shards
-                pending = [
-                    rep.next_dl
-                    for rep in state.replicas
-                    if rep.next_dl is not None
-                ]
-                if state.retry_heap:
+                next_dl = state.next_dl
+                pending = next_dl[np.isfinite(next_dl)].tolist()
+                if state.iv[I_HEAP]:
                     # A scheduled retry may still shed (or admit work
                     # that flushes) at its due instant — hold the
                     # watermark back to it.
-                    pending.append(state.retry_heap[0][0])
+                    pending.append(float(state.h_due[0]))
                 obs.advance(min([edge] + pending))
-    if state.retry_heap:
+    if state.iv[I_HEAP]:
         partials.append(engine.drain_retries(state))
     partials.append(engine.drain(state))
     report = engine.finalize(state, partials)

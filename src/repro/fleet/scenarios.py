@@ -27,7 +27,7 @@ identical, and the traces stay cheap enough to run in tests and CI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -134,6 +134,12 @@ class ColumnarTrace:
     arrival_ms: np.ndarray        # float64 [n], non-decreasing
     tenant_idx: np.ndarray        # int64   [n], index into ``tenants``
     draw: np.ndarray              # int64   [n], index into the tenant's pool
+    # Per-request bucket indices, memoized by the columnar engine per
+    # (tokenizer, max_seq_len, buckets): every run over this trace with
+    # the same serving policy shares one read-only column.
+    bucket_memo: Dict[tuple, tuple] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def num_requests(self) -> int:
@@ -376,6 +382,10 @@ class Scenario:
                 # the stream identical without building the pool here.
                 draw[mine] = rng.integers(tenant.pool_size, size=picks)
 
+        # Read-only: runs sharing this trace (the planner's candidates)
+        # share its columns and the bucket column memoized from them.
+        for column in (arrival, tenant_idx, draw):
+            column.flags.writeable = False
         return ColumnarTrace(
             name=self.name,
             seed=seed,

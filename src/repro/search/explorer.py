@@ -30,6 +30,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..accel.config import AcceleratorConfig
 from ..accel.devices import FpgaDevice
 from ..accel.simulator import AcceleratorSimulator, SimulationReport
@@ -38,6 +40,10 @@ from ..serve.router import clear_service_tables
 from .space import Candidate, DesignSpace
 
 DEFAULT_OBJECTIVES: Tuple[str, ...] = ("latency", "energy", "headroom")
+
+# Pairwise compare cells per block of the Pareto filter's dominance
+# test, which bounds its boolean temporaries (~4 MB each) on any space.
+_PARETO_CELLS = 1 << 22
 
 # (config, device, model, seq_len, batch_size) -> SimulationReport.  Every
 # key component is a frozen dataclass, so the cache is exact; the value is
@@ -175,29 +181,36 @@ def pareto_front(
         reports: Candidate evaluations (typically the feasible set).
         objectives: Objective names; see :func:`objective_vector`.
     """
-    # Objective vectors are precomputed once per report: the dominance
-    # filter is O(n^2) pair compares, and rebuilding the (utilization
-    # dict, sorted keys) vector inside the loop would make that ~2n^2
-    # vector constructions for nothing.
-    keyed = [
-        (report.device.name, objective_vector(report, objectives), report)
-        for report in reports
-    ]
+    # Dominance is tested per device as whole-array compares over the
+    # objective matrix, a block of candidate rows at a time so the
+    # pairwise temporaries stay within ``_PARETO_CELLS``; NumPy's float64
+    # ``<=`` and ``!=`` are the IEEE compares :func:`dominates` makes.
+    rows: Dict[str, List[int]] = {}
+    vectors = []
+    for i, report in enumerate(reports):
+        rows.setdefault(report.device.name, []).append(i)
+        vectors.append(objective_vector(report, objectives))
+    keep = np.zeros(len(reports), dtype=bool)
+    for device_rows in rows.values():
+        values = np.asarray([vectors[i] for i in device_rows], dtype=np.float64)
+        n = len(device_rows)
+        step = max(1, _PARETO_CELLS // (n * values.shape[1]))
+        dominated = np.zeros(n, dtype=bool)
+        for lo in range(0, n, step):
+            block = values[None, lo : lo + step]
+            dominated[lo : lo + step] = (
+                (values[:, None] <= block).all(-1)
+                & (values[:, None] != block).any(-1)
+            ).any(0)
+        keep[device_rows] = ~dominated
     front: List[SimulationReport] = []
     seen: set = set()
-    for device, vector, report in keyed:
-        if (device, vector) in seen:
-            continue
-        dominated = any(
-            other_device == device
-            and all(x <= y for x, y in zip(other_vector, vector))
-            and other_vector != vector
-            for other_device, other_vector, _ in keyed
-        )
-        if dominated:
-            continue
-        seen.add((device, vector))
-        front.append(report)
+    for i in np.flatnonzero(keep).tolist():
+        # Exact duplicates survive together; keep the first.
+        key = (reports[i].device.name, vectors[i])
+        if key not in seen:
+            seen.add(key)
+            front.append(reports[i])
     return sorted(front, key=_sort_key)
 
 

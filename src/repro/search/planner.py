@@ -325,8 +325,9 @@ def plan_capacity(
         rate_scale: Rate multiplier for scenario generation.
         duration_scale: Duration multiplier for scenario generation.
         engine: ``"columnar"`` (default) prices every plan through the
-            columnar analytic engine, generating the trace columns *once*
-            and reusing them across all candidate evaluations;
+            columnar analytic engine, generating the trace columns *and
+            bucket indices* once and reusing them across all candidate
+            evaluations;
             ``"event"`` walks the event-loop runner per plan.  The two
             engines emit byte-identical reports, so the planning result
             is the same either way — columnar is simply much faster.
@@ -383,7 +384,9 @@ def plan_capacity(
         # Generate the trace columns once and share them across every
         # candidate evaluation — the trace depends only on (scenario,
         # seed, scales), never on the plan, and a prebuilt ColumnarTrace
-        # carries its own generation seed so the report echoes it.
+        # carries its own generation seed so the report echoes it.  The
+        # engine memoizes the trace's bucket column on it, so the pool
+        # texts are tokenized once too.
         resolved = scenario
         if isinstance(resolved, str):
             catalog = builtin_scenarios()

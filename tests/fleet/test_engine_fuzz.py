@@ -19,6 +19,7 @@ run to run; every draw that ever failed is replayed first from
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -197,3 +198,57 @@ def test_engines_render_the_same_report(
         shards=shards, native=True, obs=obs, **kw,
     )
     assert artifacts(got, obs) == reference
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+@pytest.mark.parametrize("shards", [1, 2, 5])
+def test_forked_shards_carry_hedged_and_retrying_queues(
+    shards, cluster_model, hash_tokenizer, weak_spec, fleet_config
+):
+    """The fuzz above hands state across shard edges in-process.  Here
+    each window runs in a forked worker that pickles the state back, on
+    a load whose state at the edges holds hedged copies and scheduled
+    retries (checked on an in-process replay of the same windows)."""
+    from repro.fleet._native import I_HEAP
+    from repro.fleet.columnar import ColumnarFleetEngine, _prepare, shard_windows
+
+    fleet_config = replace(fleet_config, admit_slo_factor=0.3)
+    specs = [weak_spec, weak_spec]
+    policy = ResiliencePolicy(
+        max_retries=2, backoff_base_ms=40.0, hedge=True, hedge_factor=0.1
+    )
+    kw = dict(seed=1, rate_scale=4.0, resilience=policy)
+
+    prep = _prepare(
+        "flash-crowd", cluster_model, hash_tokenizer, specs, fleet_config,
+        None, None, (), 1, 4.0, 1.0, resilience=policy, chaos_active=True,
+    )
+    engine = ColumnarFleetEngine(prep)
+    state = engine.initial_state()
+    hedged = retrying = 0
+    for alo, ahi, events in shard_windows(prep, shards):
+        engine.run_window(state, alo, ahi, events)
+        rows = state.rows()
+        queued = np.arange(engine.M) < rows.depth[:, :, None]
+        hedged += int(((rows.qhedge >= 0) & queued).sum())
+        retrying += int(state.iv[I_HEAP])
+    assert hedged and retrying
+
+    obs = FleetObserver()
+    reference = run_scenario(
+        "flash-crowd", cluster_model, hash_tokenizer, specs, fleet_config,
+        analytic=True, obs=obs, **kw,
+    )
+    want = (
+        reference.to_json(), obs.render_prometheus(), obs.window_lines(),
+        obs.trace_json(),
+    )
+    obs = FleetObserver()
+    got = run_scenario_columnar(
+        "flash-crowd", cluster_model, hash_tokenizer, specs, fleet_config,
+        shards=shards, shard_processes=True, native=True, obs=obs, **kw,
+    )
+    assert (
+        got.to_json(), obs.render_prometheus(), obs.window_lines(),
+        obs.trace_json(),
+    ) == want

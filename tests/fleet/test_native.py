@@ -18,6 +18,7 @@ from repro.fleet import (
     run_scenario_columnar,
 )
 from repro.fleet.chaos import backoff_delay_ms
+from repro.fleet._native import I_HEAP
 from repro.fleet.columnar import ColumnarFleetEngine, _prepare
 
 
@@ -165,13 +166,15 @@ def test_index_guard_counts_pending_retries(
     engine = ColumnarFleetEngine(prep)
     state = engine.initial_state()
     # Five retries pending and no arrivals: each may still complete.
-    state.retry_heap = [(1.0, seq, seq, 1) for seq in range(5)]
+    state.h_due[:5] = 1.0
+    state.h_key[:5] = [(seq, seq, 1) for seq in range(5)]
+    state.iv[I_HEAP] = 5
     queued = engine.B * engine.M
     monkeypatch.setattr(_native, "INDEX_LIMIT", queued + 4)
     with pytest.raises(ValueError, match=f"int32 index limit of {queued + 4}"):
         engine.drain_retries(state)
     monkeypatch.setattr(_native, "INDEX_LIMIT", queued + 5)
     partial = engine.drain_retries(state)
-    queued_now = sum(rep.pending for rep in state.live)
+    queued_now = int(state.rows().depth.sum())
     assert not state.retry_heap
     assert partial.num_done + partial.num_shed + queued_now == 5

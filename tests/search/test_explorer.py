@@ -1,5 +1,8 @@
 """The explorer: memoized pricing, dominance, and the Pareto front."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.accel import AcceleratorConfig, ZCU102, ZCU111
@@ -13,6 +16,7 @@ from repro.search import (
     objective_vector,
     pareto_front,
 )
+from repro.search import explorer
 
 
 class TestEvaluateCandidate:
@@ -130,6 +134,91 @@ class TestParetoFront:
 
     def test_empty_input(self):
         assert pareto_front([], ("latency",)) == []
+
+
+def _stub_report(device, latency, energy, power, knob):
+    """The attributes the front reads of a report (objectives, sort key)."""
+    return SimpleNamespace(
+        device=SimpleNamespace(name=device),
+        latency_ms=latency,
+        energy_per_inference_mj=energy,
+        power_watts=power,
+        config=SimpleNamespace(
+            num_pus=knob, num_pes=1, num_multipliers=1,
+            bim_type=SimpleNamespace(value="a"), frequency_mhz=200,
+        ),
+    )
+
+
+def _pairwise_front(reports, objectives):
+    """The front by definition: every pair through ``dominates``, first
+    of each exact duplicate kept."""
+    front, seen = [], set()
+    for report in reports:
+        key = (report.device.name, objective_vector(report, objectives))
+        if key in seen or any(dominates(o, report, objectives) for o in reports):
+            continue
+        seen.add(key)
+        front.append(report)
+    return sorted(front, key=explorer._sort_key)
+
+
+def _random_reports(rng):
+    """Reports on a coarse grid (ties everywhere), plus exact duplicates
+    and copies differing from another report in one component only."""
+    grid = (0.5, 1.0, 2.0, 3.0)
+    reports = []
+    for knob in range(rng.randrange(0, 30)):
+        if reports and rng.random() < 0.4:
+            base = rng.choice(reports)
+            values = [base.latency_ms, base.energy_per_inference_mj, base.power_watts]
+            if rng.random() < 0.5:  # else an exact duplicate
+                component = rng.randrange(3)
+                values[component] += rng.choice((-0.25, 0.25))
+            reports.append(_stub_report(base.device.name, *values, knob))
+        else:
+            reports.append(_stub_report(
+                rng.choice(("ZCU102", "ZCU111", "ZCU104")),
+                *(rng.choice(grid) for _ in range(3)), knob,
+            ))
+    return reports
+
+
+class TestParetoFrontDifferential:
+    """The vectorized filter against the pairwise definition."""
+
+    OBJECTIVES = ("latency", "energy", "power")
+
+    @pytest.mark.parametrize("cells", [explorer._PARETO_CELLS, 1, 7])
+    def test_matches_pairwise_dominance(self, monkeypatch, cells):
+        # cells=1 and 7 force one- and two-row blocks over the candidates.
+        monkeypatch.setattr(explorer, "_PARETO_CELLS", cells)
+        rng = random.Random(19)
+        for _ in range(300):
+            reports = _random_reports(rng)
+            got = pareto_front(reports, self.OBJECTIVES)
+            want = _pairwise_front(reports, self.OBJECTIVES)
+            assert [id(r) for r in got] == [id(r) for r in want]
+
+    def test_ties_on_all_components_but_one(self):
+        better = _stub_report("ZCU102", 1.0, 2.0, 3.0, 0)
+        worse = _stub_report("ZCU102", 1.0, 2.0, 3.5, 1)
+        assert pareto_front([worse, better], self.OBJECTIVES) == [better]
+
+    def test_exact_duplicates_keep_the_first(self):
+        first = _stub_report("ZCU102", 1.0, 2.0, 3.0, 0)
+        second = _stub_report("ZCU102", 1.0, 2.0, 3.0, 1)
+        front = pareto_front([first, second], self.OBJECTIVES)
+        assert len(front) == 1 and front[0] is first
+
+    def test_devices_never_dominate_each_other(self):
+        fast = _stub_report("ZCU111", 1.0, 1.0, 1.0, 0)
+        slow = _stub_report("ZCU102", 2.0, 2.0, 2.0, 1)
+        assert pareto_front([fast, slow], self.OBJECTIVES) == [slow, fast]
+
+    def test_single_report(self):
+        only = _stub_report("ZCU102", 1.0, 2.0, 3.0, 0)
+        assert pareto_front([only], self.OBJECTIVES) == [only]
 
 
 class TestNamedPointsOnFront:
