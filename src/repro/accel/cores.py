@@ -87,13 +87,11 @@ class LnCore:
 
     def stage3(self, centered: np.ndarray, std: np.ndarray) -> np.ndarray:
         """Normalize, apply gamma/beta, requantize to 8-bit codes."""
-        from ..quant.fixedpoint import saturate
-
         normalized = (centered << LN_FRAC_BITS) // np.maximum(std, 1)
         acc = normalized * self.ln.gamma_codes.astype(np.int64) + (
             self.ln.beta_codes.astype(np.int64) << LN_FRAC_BITS
         )
-        return saturate(self.ln.out_requant.apply(acc), 8)
+        return self.ln.out_requant.requantize(acc, 8)
 
     def forward(self, codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
         """Run all three stages; must equal ``IntegerLayerNorm.forward``."""

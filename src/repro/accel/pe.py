@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..quant.fixedpoint import FixedPointMultiplier, saturate
+from ..quant.fixedpoint import FixedPointMultiplier
 from .bim import Bim, BimMode, BimType
 
 
@@ -90,10 +90,10 @@ class QuantizationModule:
     pipeline_depth: int = 4  # cycles; used by the scheduler's drain model
 
     def apply(self, accumulators: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
-        acc = np.asarray(accumulators, dtype=np.int64)
-        if bias is not None:
-            acc = acc + np.asarray(bias, dtype=np.int64)
-        return saturate(self.requant.apply(acc), self.out_bits)
+        addend = None if bias is None else np.asarray(bias, dtype=np.int64)
+        return self.requant.requantize(
+            np.asarray(accumulators, dtype=np.int64), self.out_bits, addend=addend
+        )
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..quant.fixedpoint import FixedPointMultiplier, saturate
+from ..quant.fixedpoint import FixedPointMultiplier
 from .bim import Bim, BimMode, BimType
 
 
@@ -59,7 +59,7 @@ class QuantUnit:
             self.stages[index].value = self.stages[index - 1].value
         self.stages[0].value = accepted
         if out is not None:
-            code = int(saturate(self.requant.apply(np.array([out])), self.out_bits)[0])
+            code = int(self.requant.requantize(np.array([out]), self.out_bits)[0])
             self.drained.append(code)
 
     @property

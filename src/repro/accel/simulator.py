@@ -179,8 +179,7 @@ class AcceleratorSimulator:
         codes = integer_model._embed_fn(np.asarray(input_ids), token_type_ids)
         for layer in integer_model.layers:
             codes = self._run_layer(pu, layer, codes, attention_mask)
-        final_scale = integer_model.layers[-1].output_layernorm.out_scale
-        return integer_model._head_fn(codes / final_scale)
+        return integer_model.classify(codes.astype(np.int64))
 
     def _run_layer(self, pu, layer, x_codes, attention_mask):
         attn = layer.attention
@@ -193,15 +192,13 @@ class AcceleratorSimulator:
         v = _split_heads_np(v, attn.num_heads)
 
         # Q*K^T on the PEs in 8x8 mode, one head per PU.
-        from ..quant.fixedpoint import saturate
-
         batch, heads, seq, head_dim = q.shape
         scores = np.zeros((batch, heads, seq, seq), dtype=np.int64)
         for b in range(batch):
             for h in range(heads):
                 for t in range(seq):
                     scores[b, h, t] = pu.matvec(k[b, h], q[b, h, t], BimMode.MODE_8x8)
-        score_codes = saturate(attn.score_requant.apply(scores), 8)
+        score_codes = attn.score_requant.requantize(scores, 8)
 
         core = SoftmaxCore(attn.score_scale, simd=self.config.softmax_simd)
         mask = attention_mask[:, None, None, :] if attention_mask is not None else None
@@ -214,7 +211,7 @@ class AcceleratorSimulator:
                     context[b, h, t] = pu.matvec(
                         v[b, h].T, prob_codes[b, h, t], BimMode.MODE_8x8, act_signed=False
                     )
-        context_codes = saturate(attn.context_requant.apply(context), 8)
+        context_codes = attn.context_requant.requantize(context, 8)
         context_codes = _merge_heads_np(context_codes)
 
         projected = self._pe_linear(pu, layer.attention_output, context_codes)
@@ -227,8 +224,6 @@ class AcceleratorSimulator:
 
     def _pe_linear(self, pu, int_linear, x_codes: np.ndarray) -> np.ndarray:
         """A weight matmul through the PE array (8x4 mode), then requant."""
-        from ..quant.fixedpoint import saturate
-
         batch, seq, _ = x_codes.shape
         out_dim = int_linear.weight_codes.shape[0]
         acc = np.zeros((batch, seq, out_dim), dtype=np.int64)
@@ -237,9 +232,9 @@ class AcceleratorSimulator:
                 acc[b, t] = pu.matvec(
                     int_linear.weight_codes, x_codes[b, t], BimMode.MODE_8x4
                 )
-        if int_linear.bias_codes is not None:
-            acc = acc + int_linear.bias_codes
-        return saturate(int_linear.requant.apply(acc), int_linear.out_bits)
+        return int_linear.requant.requantize(
+            acc, int_linear.out_bits, addend=int_linear.bias_codes
+        )
 
 
 def _apply_ln(config: AcceleratorConfig, ln, codes_a: np.ndarray, codes_b: np.ndarray):

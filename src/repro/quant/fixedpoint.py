@@ -5,14 +5,39 @@ The accelerator performs all post-accumulator arithmetic (requantization by
 module provides a small Q-format toolbox: conversion to/from fixed point,
 fixed-point multiply-with-shift requantization (the int32 ``s_f`` of Eq. 5),
 and an integer inverse-square-root for the LN core.
+
+Requantization has two evaluations of the same function.  ``apply`` is the
+hardware's: a widening multiply and staged round-half-up shifts in int64.
+``exact_apply`` and ``requantize`` evaluate it in float64 wherever that is
+provably exact, and fall back to ``apply`` elsewhere.  The argument:
+
+- Nested floor divisions compose: ``floor((floor(x / A) + B) / C)`` equals
+  ``floor((x + B*A) / (A*C))`` for integers ``x, B`` and ``A, C > 0``.  So
+  the staged ``(acc*m + 2^(pre-1)) >> pre``, then ``(+ 2^(post-1)) >> post``
+  is the single ``floor((acc*m + c) / 2^s)`` with
+  ``c = 2^(s-1) + 2^(pre-1)``.
+- Every value ``acc*m``, ``c`` and ``acc*m + c`` is a multiple of ``2^z``,
+  the lowest set bit of ``m | c``.  While ``|acc|*m + c < 2^(53+z)`` each of
+  them, scaled by the power of two ``2^-s``, is a float64 with no rounding,
+  so ``floor(acc*(m/2^s) + c/2^s)`` is computed exactly.  That bound on
+  ``|acc|``, capped where ``apply``'s int64 product would overflow, is the
+  multiplier's ``exact_limit``.
+- With saturation, accumulators beyond the limit need not be exact: the
+  float evaluation is monotone in ``acc``, so once the limit covers the
+  window of accumulators whose code is not saturated, every accumulator
+  outside it saturates to the same rail as the exact result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
+
+from .intgemm import EXACT_F64_LIMIT, exact_dtype, max_abs
 
 
 @dataclass(frozen=True)
@@ -58,8 +83,119 @@ class QFormat:
 LN_PARAM_FORMAT = QFormat(int_bits=3, frac_bits=4)
 
 
+def _rounding_offset(shift: int) -> int:
+    """``c`` of ``floor((acc*m + c) / 2^shift)``: the staged shifts' round-half-ups."""
+    if shift <= 0:
+        return 0
+    pre_shift = max(0, shift - 31)
+    return (1 << (shift - 1)) + ((1 << (pre_shift - 1)) if pre_shift else 0)
+
+
+def _float_form(multiplier: int, shift: int) -> Tuple[float, float, int, int]:
+    """Float64 constants of one ``(m, shift)`` pair and their certificate.
+
+    Returns:
+        ``(scale, offset, exact_limit, gain)``: ``apply(acc)`` equals
+        ``floor(acc*scale + offset)`` in float64 for ``|acc| <= exact_limit``,
+        and ``gain = ceil(2^shift / |m|)`` bounds the accumulator steps per
+        output code, which sizes the saturation window.
+    """
+    c = _rounding_offset(shift)
+    multiplier = int(multiplier)
+    if shift < 0:  # apply(acc) = acc * (m << -shift): an integer product
+        multiplier, shift = multiplier << -shift, 0
+    scale, offset = math.ldexp(multiplier, -shift), math.ldexp(c, -shift)
+    m = abs(multiplier)
+    if m == 0:  # never certified: apply handles it
+        return scale, offset, -1, 0
+    low_bit = (m | c) & -(m | c)
+    # Within the limit float64 rounds nothing, and apply's int64 product
+    # does not overflow, so the two agree.
+    exact_limit = min(low_bit * EXACT_F64_LIMIT - 1, 2 ** 63 - 1) - c
+    return scale, offset, exact_limit // m, -(-(1 << shift) // m)
+
+
+class _ExactRequant:
+    """Float64 evaluation of ``apply``, shared by both multiplier kinds.
+
+    Subclasses provide ``apply`` (the int64 hardware form) and
+    ``_float_constants`` (``scale``, ``offset``, ``exact_limit``, ``gain``
+    — derived data of the frozen fields, so a reassigned multiplier always
+    brings its own).
+    """
+
+    def _check(self, accumulator: np.ndarray) -> None:
+        """Validate an accumulator's shape (per-channel multipliers override)."""
+
+    def _float_floor(self, accumulator: np.ndarray, addend: Optional[np.ndarray]) -> np.ndarray:
+        scale, offset, _, _ = self._float_constants
+        if addend is not None:
+            offset = addend * scale + offset  # exact: the certificate covers |addend|
+        values = np.multiply(accumulator, scale, dtype=np.float64)
+        values += offset
+        return np.floor(values, out=values)
+
+    def exact_apply(self, accumulator: np.ndarray) -> np.ndarray:
+        """``apply(accumulator)``, in float64 when certified exact.
+
+        Args:
+            accumulator: Integer-valued array (any dtype holding it exactly).
+
+        Returns:
+            The exact values of ``apply``: float64 when ``max|accumulator|``
+            is within ``exact_limit``, int64 (from ``apply``) otherwise.
+        """
+        self._check(accumulator)
+        if max_abs(accumulator) > self._float_constants[2]:
+            return self.apply(np.asarray(accumulator, dtype=np.int64))
+        return self._float_floor(accumulator, None)
+
+    def certifies(self, bits: int, addend_bound: int = 0) -> bool:
+        """Whether float64 ``requantize`` is exact for every accumulator.
+
+        True when the exact limit covers the window of accumulators whose
+        ``bits``-wide code is not saturated (``2^(bits-1) * gain + 1``
+        steps either side of zero), widened by ``addend_bound``.
+
+        Args:
+            bits: Signed output width.
+            addend_bound: Bound on ``|addend|`` folded into the offset.
+        """
+        _, _, exact_limit, gain = self._float_constants
+        return (1 << (bits - 1)) * gain + 1 + addend_bound <= exact_limit
+
+    def requantize(
+        self, accumulator: np.ndarray, bits: int, addend: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``saturate(apply(accumulator + addend), bits)``, bit for bit.
+
+        Runs in float64 when :meth:`certifies` holds for ``bits`` and
+        ``max|addend|`` — a property of the multiplier, never of the
+        accumulator's values — and runs ``apply`` in int64 otherwise.
+
+        Args:
+            accumulator: Integer-valued array (any dtype holding it exactly).
+            bits: Signed output width.
+            addend: Optional integer array added to ``accumulator`` first
+                (the bias), broadcast over leading axes.
+
+        Returns:
+            Signed ``bits``-wide codes, as float32 when ``bits <= 24``.
+        """
+        self._check(accumulator)
+        if self.certifies(bits, 0 if addend is None else max_abs(addend)):
+            values = self._float_floor(accumulator, addend)
+        else:
+            acc = np.asarray(accumulator, dtype=np.int64)
+            values = self.apply(acc if addend is None else acc + addend)
+        # Casting first is safe: rounding to the code dtype is monotone,
+        # so values beyond the rails still clip onto them.
+        codes = values.astype(exact_dtype(1 << (bits - 1)))
+        return np.clip(codes, -(1 << (bits - 1)), (1 << (bits - 1)) - 1, out=codes)
+
+
 @dataclass(frozen=True)
-class FixedPointMultiplier:
+class FixedPointMultiplier(_ExactRequant):
     """The paper's 32-bit integer ``s_f``: a multiplier ``m * 2^-shift``.
 
     Eq. 5 requantizes the int32 accumulator with ``y_I = acc * s_f`` where
@@ -95,6 +231,10 @@ class FixedPointMultiplier:
     def to_float(self) -> float:
         return self.multiplier * 2.0 ** -self.shift
 
+    @cached_property
+    def _float_constants(self) -> Tuple[float, float, int, int]:
+        return _float_form(self.multiplier, self.shift)
+
     def apply(self, accumulator: np.ndarray) -> np.ndarray:
         """Apply the multiplier with round-to-nearest on the dropped bits.
 
@@ -118,7 +258,7 @@ class FixedPointMultiplier:
 
 
 @dataclass(frozen=True)
-class VectorFixedPointMultiplier:
+class VectorFixedPointMultiplier(_ExactRequant):
     """Per-channel fixed-point multipliers (one (m, shift) pair per channel).
 
     The per-channel extension of Eq. 5: when weights carry one scale per
@@ -145,14 +285,28 @@ class VectorFixedPointMultiplier:
     def to_floats(self) -> np.ndarray:
         return self.multipliers * np.power(2.0, -self.shifts.astype(np.float64))
 
+    @cached_property
+    def _float_constants(self) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        """Per-channel scales and offsets; one limit and gain for all channels."""
+        forms = [_float_form(m, s) for m, s in zip(self.multipliers.tolist(), self.shifts.tolist())]
+        return (
+            np.array([form[0] for form in forms]),
+            np.array([form[1] for form in forms]),
+            min((form[2] for form in forms), default=-1),
+            max((form[3] for form in forms), default=0),
+        )
+
+    def _check(self, accumulator: np.ndarray) -> None:
+        last = np.shape(accumulator)[-1]
+        if last != self.multipliers.shape[0]:
+            raise ValueError(
+                f"last axis ({last}) must match channels ({self.multipliers.shape[0]})"
+            )
+
     def apply(self, accumulator: np.ndarray) -> np.ndarray:
         """Per-channel ``(acc * m + half) >> shift`` over the last axis."""
         acc = np.asarray(accumulator, dtype=np.int64)
-        if acc.shape[-1] != self.multipliers.shape[0]:
-            raise ValueError(
-                f"last axis ({acc.shape[-1]}) must match channels "
-                f"({self.multipliers.shape[0]})"
-            )
+        self._check(acc)
         # Stage the shift as in the scalar case so products stay in int64.
         pre = np.maximum(0, self.shifts - 31)
         post = self.shifts - pre
@@ -163,34 +317,33 @@ class VectorFixedPointMultiplier:
         return np.where(post > 0, (product + post_half) >> post, product)
 
 
+_INT64_ROOT_MAX = 3037000499  # isqrt(2^63 - 1)
+
+
 def integer_isqrt(values: np.ndarray) -> np.ndarray:
-    """Integer floor square root (Newton's method on int64 arrays).
+    """Integer floor square root of non-negative int64 values.
 
     Used by the LN core model to compute ``sqrt(variance)`` without floating
-    point: the hardware implements the same iteration in fixed point.
+    point: the hardware implements the same function in fixed point.
+    Below 2^52 the int64 -> float64 cast is exact and the correctly rounded
+    sqrt lands within 1 of the floor root, which the final integer
+    certification corrects.  Larger inputs round on the cast, so a few
+    Newton steps in pure integer arithmetic refine the guess first.
     """
     values = np.asarray(values, dtype=np.int64)
     if np.any(values < 0):
         raise ValueError("integer_isqrt requires non-negative inputs")
-    result = np.zeros_like(values)
-    nonzero = values > 0
-    if not np.any(nonzero):
-        return result
-    x = values.copy()
-    # Initial guess: 2^(ceil(bits/2)) via float sqrt, then Newton refine —
-    # float sqrt of int64 is exact enough to land within 1 ulp, and two
-    # Newton steps certify the floor value in pure integer arithmetic.
     guess = np.floor(np.sqrt(values.astype(np.float64))).astype(np.int64)
-    guess = np.maximum(guess, 1)
-    for _ in range(4):
-        guess = (guess + values // np.maximum(guess, 1)) // 2
-    # Certify: adjust down/up so that guess^2 <= v < (guess+1)^2.
-    too_big = guess * guess > values
-    guess = np.where(too_big, guess - 1, guess)
-    too_small = (guess + 1) * (guess + 1) <= values
-    guess = np.where(too_small, guess + 1, guess)
-    result[nonzero] = guess[nonzero]
-    return result
+    if values.size and int(values.max()) >= 2 ** 52:
+        for _ in range(4):
+            divisor = np.maximum(guess, 1)
+            guess = (divisor + values // divisor) // 2
+    # Certify: adjust down/up so that guess^2 <= v < (guess+1)^2.  No root
+    # exceeds isqrt(2^63 - 1), and capping there keeps every square in int64.
+    guess = np.minimum(guess, _INT64_ROOT_MAX)
+    guess = np.where(guess * guess > values, guess - 1, guess)
+    up = np.minimum(guess + 1, _INT64_ROOT_MAX)
+    return np.where(up * up <= values, up, guess)
 
 
 def saturate(values: np.ndarray, bits: int, signed: bool = True) -> np.ndarray:

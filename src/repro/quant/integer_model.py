@@ -16,8 +16,14 @@ The engine is the serving hot path, so its kernels are fully batched and
 tuned without changing a single output bit:
 
 - every matmul runs through :mod:`repro.quant.intgemm`, which certifies a
-  magnitude bound and executes on the float64 BLAS path (exact on small
-  integers) instead of numpy's slow native int64 loop;
+  magnitude bound and executes on the narrowest exact BLAS tier (float32,
+  then float64) instead of numpy's slow native int64 loop;
+- every requantization runs in float64 where its multiplier certifies that
+  exact (:meth:`~repro.quant.fixedpoint.FixedPointMultiplier.requantize`),
+  instead of int64 multiply-and-shift passes;
+- activation codes travel between operators as float32, which holds every
+  8-bit code exactly and feeds sgemm without a cast; :meth:`encode` returns
+  int64 codes;
 - weight operands are transposed and cast **once per model** at conversion
   (:class:`~repro.quant.intgemm.CachedMatmul`), not per forward call;
 - the softmax-exp and GELU lookup tables are built once per distinct scale
@@ -50,9 +56,8 @@ from .fixedpoint import (
     LN_PARAM_FORMAT,
     VectorFixedPointMultiplier,
     integer_isqrt,
-    saturate,
 )
-from .intgemm import CachedMatmul, exact_matmul
+from .intgemm import EXACT_F64_LIMIT, CachedMatmul, exact_dtype, exact_matmul, max_abs
 from .qat import QuantConfig
 from .qbert import QuantBertForSequenceClassification
 from .quantizer import int_range
@@ -67,8 +72,10 @@ class IntegerLinear:
     """A linear layer frozen to integer parameters.
 
     ``forward`` computes Eq. 5 exactly:
-    ``y_I = clamp(requant(acc), -127, 127)`` with
-    ``acc = x_I @ W_I^T + b_I`` in int32/int64 arithmetic.
+    ``y_I = saturate(requant(acc), out_bits)``, which clamps 8-bit codes to
+    ``[-128, 127]``, with ``acc = x_I @ W_I^T + b_I``.  The matmul runs on
+    the narrowest exact GEMM tier and the bias is folded into the float64
+    requantization; both equal the int32/int64 arithmetic bit for bit.
 
     ``weight_codes`` is treated as frozen after the first forward call: the
     transposed operand is cached (:class:`~repro.quant.intgemm.CachedMatmul`)
@@ -104,13 +111,12 @@ class IntegerLinear:
             x_codes: Integer activation codes, shape ``(..., in_features)``.
 
         Returns:
-            Output codes saturated to ``out_bits``, bit-identical to the
-            seed int64 implementation.
+            Output codes saturated to ``out_bits`` (float32 for 8-bit
+            codes), equal to the seed int64 implementation's.
         """
-        acc = self._matmul(x_codes)
-        if self.bias_codes is not None:
-            acc = acc + self.bias_codes
-        return saturate(self.requant.apply(acc), self.out_bits)
+        return self.requant.requantize(
+            self._matmul(x_codes), self.out_bits, addend=self.bias_codes
+        )
 
     @property
     def weight_bits(self) -> int:
@@ -159,28 +165,42 @@ class IntegerLayerNorm:
     def forward(self, codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
         """Fused Add&LN over the last axis of a code batch.
 
+        Runs in float64 when the magnitudes certify every step exact (the
+        sum, the Q.15 numerator and the gamma/beta accumulator below 2^53),
+        in int64 otherwise; the variance is int64 either way.
+
         Args:
             codes_a: Integer codes of the first addend (any leading shape).
             codes_b: Integer codes of the second addend, same shape.
 
         Returns:
-            8-bit output codes, bit-identical to the seed implementation.
+            8-bit output codes (float32), equal to the seed implementation's.
         """
         # Stage 1: align and add, then the row mean.
-        v = self.align_a.apply(codes_a.astype(np.int64)) + self.align_b.apply(
-            codes_b.astype(np.int64)
-        )
+        v = self.align_a.exact_apply(codes_a) + self.align_b.exact_apply(codes_b)
         n = v.shape[-1]
-        total = v.sum(axis=-1, keepdims=True)
-        mean = np.rint(total / n).astype(np.int64)
+        gamma, beta = self._gamma_i64, self._beta_aligned
+        v_bound = max_abs(v)
+        # |mean| <= v_bound, so |centered| <= 2 v_bound, and std >= 1.
+        bound = max(
+            n * v_bound,
+            ((2 * v_bound * max(max_abs(gamma), 1)) << LN_FRAC_BITS) + max_abs(beta),
+        )
+        dtype = np.float64 if bound < EXACT_F64_LIMIT else np.int64
+        v = v.astype(dtype, copy=False)
+        mean = np.rint(v.sum(axis=-1, keepdims=True) / n).astype(dtype)
         # Stage 2: center and the variance (2*LN_FRAC_BITS fractional bits).
         centered = v - mean
-        var = (centered * centered).sum(axis=-1, keepdims=True) // n
-        std = integer_isqrt(var + self.eps_fx)  # back to LN_FRAC_BITS frac
-        # Stage 3: normalize, scale by gamma, add beta, requantize.
-        normalized = (centered << LN_FRAC_BITS) // np.maximum(std, 1)
-        acc = normalized * self._gamma_i64 + self._beta_aligned
-        return saturate(self.out_requant.apply(acc), ACT_BITS)
+        wide = centered.astype(np.int64, copy=False)
+        var = (wide * wide).sum(axis=-1, keepdims=True) // n
+        std = np.maximum(integer_isqrt(var + self.eps_fx), 1).astype(dtype)
+        # Stage 3: normalize, scale by gamma, add beta, requantize.  For
+        # integers below 2^53, floor of the correctly rounded quotient is
+        # the exact floor division (numpy's float // is far slower).
+        numerator = centered * (1 << LN_FRAC_BITS)
+        normalized = numerator // std if dtype is np.int64 else np.floor(numerator / std)
+        acc = normalized * gamma.astype(dtype) + beta.astype(dtype)
+        return self.out_requant.requantize(acc, ACT_BITS)
 
 
 @dataclass
@@ -195,6 +215,8 @@ class FloatLayerNorm:
     eps: float
 
     def forward(self, codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
+        codes_a = np.asarray(codes_a, dtype=np.float64)
+        codes_b = np.asarray(codes_b, dtype=np.float64)
         x = codes_a / self.in_scale_a + codes_b / self.in_scale_b
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
@@ -227,7 +249,8 @@ class GeluLUT:
 
     def forward(self, codes: np.ndarray) -> np.ndarray:
         qmin, _ = int_range(ACT_BITS)
-        return self.table[np.asarray(codes, dtype=np.int64) - qmin]
+        index = (np.asarray(codes) - qmin).astype(np.intp, copy=False)
+        return self.table.astype(exact_dtype(max_abs(self.table)), copy=False)[index]
 
 
 @dataclass
@@ -268,7 +291,7 @@ class IntegerSelfAttention:
         v = _split_heads_np(self.value.forward(x_codes), self.num_heads)
 
         score_acc = exact_matmul(q, k.swapaxes(-1, -2))
-        score_codes = saturate(self.score_requant.apply(score_acc), ACT_BITS)
+        score_codes = self.score_requant.requantize(score_acc, ACT_BITS)
 
         mask = attention_mask[:, None, None, :] if attention_mask is not None else None
         prob_codes, _ = quantized_softmax(
@@ -276,7 +299,7 @@ class IntegerSelfAttention:
         )
 
         context_acc = exact_matmul(prob_codes, v)
-        context_codes = saturate(self.context_requant.apply(context_acc), ACT_BITS)
+        context_codes = self.context_requant.requantize(context_acc, ACT_BITS)
         return _merge_heads_np(context_codes)
 
 
@@ -328,11 +351,11 @@ class IntegerBertForSequenceClassification:
         attention_mask: Optional[np.ndarray] = None,
         token_type_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Run host embedding + the integer encoder; return final codes."""
+        """Run host embedding + the integer encoder; return final int64 codes."""
         codes = self._embed_fn(input_ids, token_type_ids)
         for layer in self.layers:
             codes = layer.forward(codes, attention_mask)
-        return codes
+        return codes.astype(np.int64, copy=False)
 
     def classify(self, codes: np.ndarray) -> np.ndarray:
         """Host-side head on final encoder codes: dequantize, pool, classify.

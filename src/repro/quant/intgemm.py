@@ -1,25 +1,32 @@
-"""Exact integer matrix multiplication on the float64 BLAS path.
+"""Exact integer matrix multiplication on the float BLAS paths.
 
 numpy dispatches integer ``@`` to a generic (non-BLAS) inner loop, which is
-an order of magnitude slower than dgemm.  But float64 arithmetic is *exact*
-on integers as long as every product and partial sum stays below 2**53, so
-small-integer GEMMs — and every matmul in the integer FQ-BERT datapath is
-an 8-bit-by-4-bit or 8-bit-by-8-bit code product — can run on BLAS and cast
-back to int64 without changing a single bit.  ``exact_matmul`` and
-:class:`CachedMatmul` implement that dispatch with a conservative magnitude
-guard: when the bound cannot be certified, they fall back to the native
-int64 path, so results are bit-identical to ``a @ b`` in all cases.
+an order of magnitude slower than sgemm/dgemm.  But float arithmetic is
+*exact* on integers as long as every product and partial sum stays inside
+the format's contiguous integer range: below 2**24 for float32 and 2**53
+for float64.  Every matmul in the integer FQ-BERT datapath is an
+8-bit-by-4-bit or 8-bit-by-8-bit code product, so it can run on BLAS
+without changing a single bit.  ``exact_matmul`` and :class:`CachedMatmul`
+pick the narrowest of three tiers by a conservative magnitude guard:
+
+- float32 (sgemm) when the bound is below 2**24;
+- float64 (dgemm) when it is below 2**53;
+- the native int64 loop otherwise, so results equal ``a @ b`` in all cases.
 
 The guard is conservative by construction: it bounds the *accumulated*
 magnitude by ``k * max|a| * max|b|``, the worst case over any summation
-order, so BLAS reordering of the dot products cannot introduce rounding.
+order, so BLAS reordering of the dot products (or a fused multiply-add)
+cannot introduce rounding.
 """
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
-# Largest integer magnitude float64 represents exactly (contiguously).
+# Largest integer magnitudes float32 and float64 represent exactly (contiguously).
+EXACT_F32_LIMIT = 2 ** 24
 EXACT_F64_LIMIT = 2 ** 53
 
 
@@ -31,7 +38,7 @@ def max_abs(codes: np.ndarray) -> int:
     silently defeat the exactness guard.
 
     Args:
-        codes: Integer array of any shape.
+        codes: Integer-valued array of any shape (int or float dtype).
 
     Returns:
         ``max(|codes|)`` as an exact Python int, or 0 for an empty array.
@@ -56,61 +63,83 @@ def product_bound(a_bound: int, b_bound: int, contract_dim: int) -> int:
     return int(contract_dim) * int(a_bound) * int(b_bound)
 
 
+def exact_dtype(bound: int) -> type:
+    """Narrowest dtype whose arithmetic is exact on integers below ``bound``.
+
+    Args:
+        bound: Strict upper bound on every magnitude the computation forms.
+
+    Returns:
+        ``np.float32`` below 2**24, ``np.float64`` below 2**53, else
+        ``np.int64``.
+    """
+    if bound < EXACT_F32_LIMIT:
+        return np.float32
+    if bound < EXACT_F64_LIMIT:
+        return np.float64
+    return np.int64
+
+
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integer matmul ``a @ b``, bit-identical to int64, BLAS-fast when safe.
 
     Args:
-        a: Integer codes, shape ``(..., m, k)``.
+        a: Integer codes, shape ``(..., m, k)`` (any integer-valued dtype).
         b: Integer codes, shape ``(..., k, n)``.
 
     Returns:
-        ``a @ b`` as int64 — computed via float64 dgemm when the magnitude
-        guard certifies exactness, via the native int64 loop otherwise.
+        ``a @ b`` as int64 — computed in the narrowest tier the magnitude
+        guard certifies (sgemm, dgemm, or the native int64 loop).
     """
-    bound = product_bound(max_abs(a), max_abs(b), a.shape[-1])
-    if bound < EXACT_F64_LIMIT:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    return a.astype(np.int64) @ b.astype(np.int64)
+    dtype = exact_dtype(product_bound(max_abs(a), max_abs(b), a.shape[-1]))
+    product = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return product.astype(np.int64, copy=False)
 
 
 class CachedMatmul:
-    """One fixed right-hand operand, pre-cast once for repeated matmuls.
+    """One fixed right-hand operand, kept once for repeated matmuls.
 
     The integer model's weight matrices never change after conversion, so
     each :class:`~repro.quant.integer_model.IntegerLinear` builds one plan
     and reuses it every forward — eliminating the per-call transpose copy
-    and ``astype`` of the seed implementation.
+    and ``astype`` of the seed implementation.  The operand is stored in
+    the narrowest dtype that holds it exactly (float32 for weight codes);
+    a wider copy is built only when a call's bound needs a wider tier.
     """
 
     def __init__(self, b: np.ndarray):
-        """Pre-cast the static operand.
+        """Copy the static operand into its narrowest exact dtype.
 
         Args:
             b: Integer codes of shape ``(k, n)`` (already transposed for
                left-multiplication by activations).
         """
-        b_i64 = np.ascontiguousarray(b, dtype=np.int64)
-        if b_i64 is b:
-            b_i64 = b_i64.copy()  # never freeze (or alias) the caller's array
-        self.b_i64 = b_i64
-        self.b_i64.flags.writeable = False
-        self.b_f64 = self.b_i64.astype(np.float64)
-        self.b_f64.flags.writeable = False
-        self.b_bound = max_abs(self.b_i64)
-        self.contract_dim = self.b_i64.shape[0]
+        b = np.asarray(b)
+        self.b_bound = max_abs(b)
+        self.contract_dim = b.shape[0]
+        # The one resident copy; never freeze (or alias) the caller's array.
+        self._narrow = np.array(b, dtype=exact_dtype(self.b_bound), order="C")
+        self._narrow.flags.writeable = False
+        self._operands: Dict[type, np.ndarray] = {self._narrow.dtype.type: self._narrow}
+
+    def operand(self, dtype: type) -> np.ndarray:
+        """The read-only operand in ``dtype``, widened from the narrow copy on first use."""
+        operand = self._operands.get(dtype)
+        if operand is None:
+            operand = self._operands[dtype] = self._narrow.astype(dtype)
+            operand.flags.writeable = False
+        return operand
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
-        """Compute ``a @ b`` exactly (int64 result).
+        """Compute ``a @ b`` exactly.
 
         Args:
-            a: Integer activation codes, shape ``(..., k)``.
+            a: Integer activation codes, shape ``(..., k)`` (any
+               integer-valued dtype).
 
         Returns:
-            int64 product, bit-identical to the native int64 matmul.
+            The product in the tier's dtype (float32, float64 or int64);
+            every value equals the native int64 matmul's.
         """
-        bound = product_bound(max_abs(a), self.b_bound, self.contract_dim)
-        if bound < EXACT_F64_LIMIT:
-            return (a.astype(np.float64) @ self.b_f64).astype(np.int64)
-        # Fallback must use the original integer operand: the float64 copy
-        # is lossy exactly in this large-magnitude regime.
-        return a.astype(np.int64) @ self.b_i64
+        dtype = exact_dtype(product_bound(max_abs(a), self.b_bound, self.contract_dim))
+        return a.astype(dtype, copy=False) @ self.operand(dtype)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -72,28 +73,28 @@ class DesignSpace:
         """The full grid in deterministic nested-loop order.
 
         Devices vary slowest, then the knob axes in declaration order —
-        the order reports and samples index into.
+        the order reports and samples index into.  Returns a fresh list
+        of the grid, which is built once per space.
         """
-        grid: List[Candidate] = []
-        for device in self.devices:
-            for h in self.num_pus:
-                for n in self.num_pes:
-                    for m in self.num_multipliers:
-                        for bim in self.bim_type:
-                            for freq in self.frequency_mhz:
-                                grid.append(
-                                    (
-                                        self.base.with_(
-                                            num_pus=h,
-                                            num_pes=n,
-                                            num_multipliers=m,
-                                            bim_type=bim,
-                                            frequency_mhz=freq,
-                                        ),
-                                        device,
-                                    )
-                                )
-        return grid
+        return list(self._grid)
+
+    @cached_property
+    def _grid(self) -> Tuple[Candidate, ...]:
+        """The grid, built on first use: a pure function of the frozen space."""
+        return tuple(
+            (
+                self.base.with_(
+                    num_pus=h, num_pes=n, num_multipliers=m, bim_type=bim, frequency_mhz=freq
+                ),
+                device,
+            )
+            for device in self.devices
+            for h in self.num_pus
+            for n in self.num_pes
+            for m in self.num_multipliers
+            for bim in self.bim_type
+            for freq in self.frequency_mhz
+        )
 
     def sample(self, budget: Optional[int] = None, seed: int = 0) -> List[Candidate]:
         """At most ``budget`` candidates, seeded and deterministic.

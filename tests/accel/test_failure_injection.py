@@ -102,3 +102,59 @@ class TestGeluLutCorruption:
         corrupted = engine.forward(ids, mask)
         gelu.table[:] = original
         assert not np.array_equal(baseline, corrupted)
+
+
+class TestNarrowDatapathTracksCorruption:
+    """Each corruption still changes the encoder's codes under the float32
+    GEMM / float64 requant datapath, and the engine still agrees code for
+    code with the seed int64 kernels and the accelerator model on the
+    corrupted model — so every check that caught it before still does."""
+
+    @staticmethod
+    def _check(engine, ids, mask, baseline, hardware_agrees=True):
+        from repro.perf import reference_encode
+
+        corrupted = engine.encode(ids, mask)
+        assert corrupted.dtype == np.int64
+        assert not np.array_equal(baseline, corrupted)
+        np.testing.assert_array_equal(corrupted, reference_encode(engine, ids, mask))
+        simulator = AcceleratorSimulator(
+            AcceleratorConfig(num_pus=2, num_pes=4, num_multipliers=8), ZCU102
+        )
+        hw = simulator.run_functional(engine, ids[:1], mask[:1])
+        assert np.array_equal(hw, engine.forward(ids[:1], mask[:1])) == hardware_agrees
+
+    def test_reassigned_requant(self, deployed):
+        from repro.quant.fixedpoint import FixedPointMultiplier
+
+        engine, ids, mask = deployed
+        baseline = engine.encode(ids, mask)
+        ffn1 = engine.layers[0].ffn1
+        ffn1.requant = FixedPointMultiplier.from_float(ffn1.requant.to_float() * 2.0)
+        self._check(engine, ids, mask, baseline)
+
+    def test_edited_weights_after_invalidate(self, deployed):
+        engine, ids, mask = deployed
+        baseline = engine.encode(ids, mask)
+        ffn1 = engine.layers[0].ffn1
+        ffn1.weight_codes[:, :4] = -ffn1.weight_codes[:, :4]
+        ffn1.invalidate_cache()
+        self._check(engine, ids, mask, baseline)
+
+    def test_edited_gamma(self, deployed):
+        engine, ids, mask = deployed
+        baseline = engine.encode(ids, mask)
+        ln = engine.layers[0].attention_layernorm
+        ln.gamma_codes[:] = -ln.gamma_codes  # int64 codes: seen without invalidation
+        self._check(engine, ids, mask, baseline)
+
+    def test_replaced_exp_lut(self, deployed):
+        from repro.quant.softmax_lut import build_exp_lut
+
+        engine, ids, mask = deployed
+        baseline = engine.encode(ids, mask)
+        attention = engine.layers[0].attention
+        attention.exp_lut = build_exp_lut(attention.score_scale * 2.0)  # mis-scaled table
+        # The softmax core loads its table from the score scale, so the
+        # hardware/software comparison flags the replaced table.
+        self._check(engine, ids, mask, baseline, hardware_agrees=False)

@@ -22,7 +22,15 @@ from repro.perf import (
 )
 from repro.quant.fixedpoint import FixedPointMultiplier, VectorFixedPointMultiplier
 from repro.quant.integer_model import IntegerLinear
-from repro.quant.intgemm import EXACT_F64_LIMIT, CachedMatmul, exact_matmul, max_abs
+from repro.quant.intgemm import (
+    EXACT_F32_LIMIT,
+    EXACT_F64_LIMIT,
+    CachedMatmul,
+    exact_dtype,
+    exact_matmul,
+    max_abs,
+    product_bound,
+)
 
 SMALL_CONFIG = BertConfig(
     vocab_size=64,
@@ -226,8 +234,12 @@ class TestExactGemm:
         plan = CachedMatmul(b)
         a = rng.integers(-128, 128, size=(4, 16)).astype(np.int64)
         np.testing.assert_array_equal(plan(a), a @ b)
-        with pytest.raises(ValueError):
-            plan.b_f64[0, 0] = 1.0
+        for dtype in (np.float32, np.float64, np.int64):
+            with pytest.raises(ValueError):
+                plan.operand(dtype)[0, 0] = 1
+        expected = a @ b
+        b[0, 0] = 99  # the plan holds its own copy
+        np.testing.assert_array_equal(plan(a), expected)
 
     def test_cached_matmul_fallback(self):
         plan = CachedMatmul(np.full((1, 1), 2 ** 31, dtype=np.int64))
@@ -254,3 +266,60 @@ class TestExactGemm:
         b = np.zeros((4, 3), dtype=np.int64)
         assert exact_matmul(a, b).shape == (0, 3)
         assert max_abs(a) == 0
+
+
+class TestGemmTiers:
+    """The float32 tier is taken exactly when its bound is below 2^24."""
+
+    # 4095 * 4097 = 2^24 - 1 and 4096 * 4096 = 2^24.
+    EDGE = [((4095,), (4097,), np.float32), ((4096,), (4096,), np.float64)]
+
+    @pytest.mark.parametrize("a_code, b_code, tier", EDGE)
+    def test_tier_at_the_float32_edge(self, a_code, b_code, tier):
+        a = np.array([a_code], dtype=np.int64)
+        b = np.array([b_code], dtype=np.int64)
+        assert exact_dtype(product_bound(max_abs(a), max_abs(b), 1)) is tier
+        product = CachedMatmul(b)(a)
+        assert product.dtype == tier
+        np.testing.assert_array_equal(product, a @ b)
+        np.testing.assert_array_equal(exact_matmul(a, b), a @ b)
+
+    @pytest.mark.parametrize("k", [1, 3, 192])
+    def test_bound_edge_over_a_contraction(self, k):
+        """Operands that reach (but stay under) the bound in every partial sum."""
+        b_code = 7
+        a_code = (EXACT_F32_LIMIT - 1) // (k * b_code)
+        a = np.full((4, k), a_code, dtype=np.int64)
+        a[1] = -a_code
+        b = np.full((k, 3), b_code, dtype=np.int64)
+        assert product_bound(a_code, b_code, k) < EXACT_F32_LIMIT
+        plan = CachedMatmul(b)
+        assert plan(a).dtype == np.float32
+        np.testing.assert_array_equal(plan(a), a @ b)
+        wider = a.copy()
+        wider[0, 0] = a_code + (EXACT_F32_LIMIT // b_code)  # pushes the bound past 2^24
+        assert plan(wider).dtype == np.float64
+        np.testing.assert_array_equal(plan(wider), wider @ b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[4097]], [[4097]]),  # one product of 2^24 + 8193: odd, above 2^24
+            ([[2 ** 23, 2 ** 23, 1]], [[1], [1], [1]]),  # the partial sum 2^24 + 1
+        ],
+    )
+    def test_uncertified_float32_would_round(self, a, b):
+        """Without the guard these products round in float32."""
+        a = np.array(a, dtype=np.int64)
+        b = np.array(b, dtype=np.int64)
+        naive = a.astype(np.float32) @ b.astype(np.float32)
+        assert not np.array_equal(naive, a @ b)
+        assert product_bound(max_abs(a), max_abs(b), a.shape[-1]) >= EXACT_F32_LIMIT
+        np.testing.assert_array_equal(CachedMatmul(b)(a), a @ b)
+        np.testing.assert_array_equal(exact_matmul(a, b), a @ b)
+
+    def test_plan_keeps_only_the_narrow_operand(self, rng):
+        plan = CachedMatmul(rng.integers(-8, 8, size=(16, 4)))
+        assert list(plan._operands) == [np.float32]
+        plan(np.full((1, 16), 2 ** 20, dtype=np.int64))  # needs the float64 tier
+        assert set(plan._operands) == {np.float32, np.float64}

@@ -125,3 +125,184 @@ class TestBitWidth:
         assert bit_width_of(-1) == 1
         assert bit_width_of(-128) == 8
         assert bit_width_of(-129) == 9
+
+
+def _staged_shift(acc: int, m: int, shift: int) -> int:
+    """The hardware's staged round-half-up shifts, in Python ints."""
+    pre = max(0, shift - 31)
+    post = shift - pre
+    product = acc * m
+    if pre:
+        product = (product + (1 << (pre - 1))) >> pre
+    return (product + (1 << (post - 1))) >> post
+
+
+class TestFloatRequant:
+    """The float64 requantization equals the int64 staged shifts, bit for bit."""
+
+    def test_staged_shifts_are_one_floor(self, rng):
+        """floor((floor((x + 2^(p-1)) / 2^p) + 2^(q-1)) / 2^q)
+        == floor((x + 2^(p-1) + 2^(p+q-1)) / 2^(p+q))."""
+        for _ in range(20000):
+            shift = int(rng.integers(1, 63))
+            m = int(rng.integers(0, 2 ** 31))
+            acc = int(rng.integers(-(2 ** 31), 2 ** 31))
+            pre = max(0, shift - 31)
+            c = (1 << (shift - 1)) + ((1 << (pre - 1)) if pre else 0)
+            single = (acc * m + c) >> shift  # >> on Python ints floors
+            assert _staged_shift(acc, m, shift) == single
+            applied = FixedPointMultiplier(m, shift).apply(np.array([acc]))
+            assert int(applied[0]) == single
+
+    @pytest.mark.parametrize("value", [1e-6, 0.0037, 0.25, 1.0, 1638.4, 1e5])
+    def test_exact_apply_over_the_certified_range(self, rng, value):
+        fpm = FixedPointMultiplier.from_float(value)
+        limit = fpm._float_constants[2]
+        assert limit >= 2 ** 20
+        acc = np.concatenate(
+            [rng.integers(-limit, limit + 1, size=50000), [-limit, limit, 0, 1, -1]]
+        )
+        got = fpm.exact_apply(acc)
+        assert got.dtype == np.float64  # the float path ran
+        np.testing.assert_array_equal(got, fpm.apply(acc))
+
+    def test_exact_apply_falls_back_beyond_the_limit(self):
+        fpm = FixedPointMultiplier.from_float(0.0037)
+        acc = np.array([fpm._float_constants[2] + 1, 5])
+        got = fpm.exact_apply(acc)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, fpm.apply(acc))
+
+    def test_rounding_would_break_without_the_certificate(self):
+        """Beyond the limit float64 rounds, so the guard is needed."""
+        fpm = FixedPointMultiplier(multiplier=2 ** 31 - 1, shift=31)
+        scale, offset, limit, _ = fpm._float_constants
+        acc = np.arange(2 ** 40, 2 ** 40 + 4096, dtype=np.int64)
+        assert acc.min() > limit
+        naive = np.floor(acc * scale + offset)
+        assert not np.array_equal(naive, fpm.apply(acc))
+        np.testing.assert_array_equal(fpm.exact_apply(acc), fpm.apply(acc))
+
+    @pytest.mark.parametrize("value", [1e-4, 0.0037, 0.0071, 0.3])
+    def test_requantize_saturates_beyond_the_window(self, rng, value):
+        """Accumulators past the exact limit still land on the right rail
+        (over apply's int32 accumulator domain, where its product fits int64)."""
+        fpm = FixedPointMultiplier.from_float(value)
+        assert fpm.certifies(8)
+        assert fpm._float_constants[2] < 2 ** 31 - 1
+        acc = np.concatenate(
+            [
+                rng.integers(-(2 ** 31), 2 ** 31, size=20000),
+                rng.integers(-(2 ** 20), 2 ** 20, size=20000),
+                [-(2 ** 31), 2 ** 31 - 1],
+            ]
+        )
+        got = fpm.requantize(acc, 8)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, saturate(fpm.apply(acc), 8))
+
+    def test_requantize_folds_the_addend(self, rng):
+        fpm = FixedPointMultiplier.from_float(0.0071)
+        bias = rng.integers(-3000, 3001, size=24)
+        assert fpm.certifies(8, 3000)
+        acc = rng.integers(-(2 ** 22), 2 ** 22, size=(50, 24))
+        np.testing.assert_array_equal(
+            fpm.requantize(acc, 8, addend=bias), saturate(fpm.apply(acc + bias), 8)
+        )
+
+    def test_requantize_falls_back_when_uncertified(self, rng):
+        fpm = FixedPointMultiplier.from_float(0.0071)
+        huge = np.array([2 ** 40, -(2 ** 40)])
+        assert not fpm.certifies(8, 2 ** 40)
+        acc = rng.integers(-(2 ** 22), 2 ** 22, size=(10, 2))
+        np.testing.assert_array_equal(
+            fpm.requantize(acc, 8, addend=huge), saturate(fpm.apply(acc + huge), 8)
+        )
+
+    def test_per_channel_float_path(self, rng):
+        from repro.quant import VectorFixedPointMultiplier
+
+        vector = VectorFixedPointMultiplier.from_floats(rng.uniform(1e-4, 0.05, size=16))
+        bias = rng.integers(-500, 501, size=16)
+        assert vector.certifies(8, 500)
+        acc = rng.integers(-(2 ** 24), 2 ** 24, size=(400, 16))
+        np.testing.assert_array_equal(
+            vector.requantize(acc, 8, addend=bias), saturate(vector.apply(acc + bias), 8)
+        )
+        np.testing.assert_array_equal(vector.exact_apply(acc), vector.apply(acc))
+        with pytest.raises(ValueError, match="channels"):
+            vector.requantize(acc[:, :1], 8)
+
+    def test_every_bench_multiplier_exhaustively(self):
+        """Every distinct multiplier of the pinned bench model, over every
+        accumulator with |acc| <= 2^24: float requant + saturate equals the
+        int64 apply + saturate, and the unsaturated float path equals apply
+        up to its exact limit."""
+        from repro.perf import build_synthetic_integer_model
+
+        model = build_synthetic_integer_model()
+        multipliers = set()
+        for layer in model.layers:
+            attn = layer.attention
+            for linear in (attn.query, attn.key, attn.value, layer.attention_output,
+                           layer.ffn1, layer.ffn2):
+                multipliers.add(linear.requant)
+            multipliers.update((attn.score_requant, attn.context_requant))
+            for ln in (layer.attention_layernorm, layer.output_layernorm):
+                multipliers.update((ln.align_a, ln.align_b, ln.out_requant))
+        assert len(multipliers) == 5
+        chunk = 2 ** 20
+        for fpm in multipliers:
+            assert fpm.certifies(8)
+            limit = min(fpm._float_constants[2], 2 ** 24)
+            for start in range(-(2 ** 24), 2 ** 24 + 1, chunk):
+                acc = np.arange(start, min(start + chunk, 2 ** 24 + 1), dtype=np.int64)
+                expected = fpm.apply(acc)
+                np.testing.assert_array_equal(fpm.requantize(acc, 8), saturate(expected, 8))
+                inside = np.abs(acc) <= limit
+                if inside.any():
+                    got = fpm.exact_apply(acc[inside])
+                    assert got.dtype == np.float64
+                    np.testing.assert_array_equal(got, expected[inside])
+
+
+class TestIsqrtAgainstMathIsqrt:
+    def test_random_values(self, rng):
+        import math
+
+        values = np.concatenate(
+            [
+                rng.integers(0, 2 ** 63 - 1, size=20000, dtype=np.int64),
+                rng.integers(0, 2 ** 52, size=20000, dtype=np.int64),
+                rng.integers(0, 2 ** 20, size=20000, dtype=np.int64),
+            ]
+        )
+        roots = integer_isqrt(values)
+        assert roots.tolist() == [math.isqrt(int(v)) for v in values]
+
+    def test_top_of_int64(self):
+        """Roots near isqrt(2^63 - 1), whose next square overflows int64."""
+        import math
+
+        top = 3037000499
+        values = np.array(
+            [2 ** 63 - 1, top * top, top * top + 1, top * top - 1, (top - 1) ** 2 - 1],
+            dtype=np.int64,
+        )
+        assert integer_isqrt(values).tolist() == [math.isqrt(int(v)) for v in values]
+
+    def test_around_perfect_squares(self, rng):
+        import math
+
+        k = np.concatenate(
+            [
+                np.arange(0, 4097),
+                rng.integers(1, 2 ** 26 + 1, size=100000),
+                2 ** 26 - np.arange(0, 64),
+                2 ** np.arange(0, 27),
+            ]
+        ).astype(np.int64)
+        values = np.concatenate([k * k - 1, k * k, k * k + 1])
+        values = values[values >= 0]
+        roots = integer_isqrt(values)
+        assert roots.tolist() == [math.isqrt(int(v)) for v in values]

@@ -133,3 +133,32 @@ class TestWithValidation:
     def test_valid_update_still_works(self):
         config = AcceleratorConfig().with_(num_pes=16, num_multipliers=8)
         assert (config.num_pes, config.num_multipliers) == (16, 8)
+
+
+class TestGridIsBuiltOnce:
+    """The grid is a pure function of the frozen space: built on first use."""
+
+    def test_second_explore_builds_no_configs(self, monkeypatch):
+        from repro.search import clear_evaluation_cache, explore
+
+        space = builtin_spaces()["wide"]
+        clear_evaluation_cache()
+        first = explore(space).to_json()
+        calls = []
+        original = AcceleratorConfig.with_
+
+        def counting(self, **kwargs):
+            calls.append(kwargs)
+            return original(self, **kwargs)
+
+        monkeypatch.setattr(AcceleratorConfig, "with_", counting)
+        clear_evaluation_cache()  # cold pricing, warm grid
+        second = explore(space).to_json()
+        assert calls == []
+        assert second == first
+
+    def test_candidates_returns_a_fresh_list(self, spaces):
+        space = spaces["small"]
+        grid = space.candidates()
+        grid.clear()
+        assert len(space.candidates()) == space.size
