@@ -21,7 +21,8 @@ provably exact, and fall back to ``apply`` elsewhere.  The argument:
   them, scaled by the power of two ``2^-s``, is a float64 with no rounding,
   so ``floor(acc*(m/2^s) + c/2^s)`` is computed exactly.  That bound on
   ``|acc|``, capped where ``apply``'s int64 product would overflow, is the
-  multiplier's ``exact_limit``.
+  multiplier's ``exact_limit``.  Within it every result is at most 2^52 in
+  magnitude, so the sum of two ``exact_apply`` results is exact too.
 - With saturation, accumulators beyond the limit need not be exact: the
   float evaluation is monotone in ``acc``, so once the limit covers the
   window of accumulators whose code is not saturated, every accumulator
@@ -110,8 +111,11 @@ def _float_form(multiplier: int, shift: int) -> Tuple[float, float, int, int]:
         return scale, offset, -1, 0
     low_bit = (m | c) & -(m | c)
     # Within the limit float64 rounds nothing, and apply's int64 product
-    # does not overflow, so the two agree.
-    exact_limit = min(low_bit * EXACT_F64_LIMIT - 1, 2 ** 63 - 1) - c
+    # does not overflow, so the two agree.  A shift keeps results within
+    # 2^52 (c's lowest bit is below 2^shift); with none the product is the
+    # result, so cap it there too: two results then add exactly.
+    cap = 2 ** 63 - 1 if shift else 2 ** 52 - 1
+    exact_limit = min(low_bit * EXACT_F64_LIMIT - 1, cap) - c
     return scale, offset, exact_limit // m, -(-(1 << shift) // m)
 
 
@@ -172,6 +176,11 @@ class _ExactRequant:
         Runs in float64 when :meth:`certifies` holds for ``bits`` and
         ``max|addend|`` — a property of the multiplier, never of the
         accumulator's values — and runs ``apply`` in int64 otherwise.
+
+        The identity holds wherever ``apply`` itself is exact, that is
+        while ``|acc|*m + c < 2^63``.  Past that point ``apply``'s int64
+        product wraps.  The float64 path then still returns the rail of the
+        exact result, while the int64 fallback wraps as ``apply`` does.
 
         Args:
             accumulator: Integer-valued array (any dtype holding it exactly).
@@ -325,19 +334,15 @@ def integer_isqrt(values: np.ndarray) -> np.ndarray:
 
     Used by the LN core model to compute ``sqrt(variance)`` without floating
     point: the hardware implements the same function in fixed point.
-    Below 2^52 the int64 -> float64 cast is exact and the correctly rounded
-    sqrt lands within 1 of the floor root, which the final integer
-    certification corrects.  Larger inputs round on the cast, so a few
-    Newton steps in pure integer arithmetic refine the guess first.
+    The float64 guess is within 1 of the floor root for every int64 input:
+    the cast and the sqrt each round by a relative 2^-53 at most, so the
+    root, below 2^31.5, is off by less than 2^-20 before the floor.  The
+    final integer certification corrects that step of 1.
     """
     values = np.asarray(values, dtype=np.int64)
     if np.any(values < 0):
         raise ValueError("integer_isqrt requires non-negative inputs")
     guess = np.floor(np.sqrt(values.astype(np.float64))).astype(np.int64)
-    if values.size and int(values.max()) >= 2 ** 52:
-        for _ in range(4):
-            divisor = np.maximum(guess, 1)
-            guess = (divisor + values // divisor) // 2
     # Certify: adjust down/up so that guess^2 <= v < (guess+1)^2.  No root
     # exceeds isqrt(2^63 - 1), and capping there keeps every square in int64.
     guess = np.minimum(guess, _INT64_ROOT_MAX)

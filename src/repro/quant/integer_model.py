@@ -176,8 +176,13 @@ class IntegerLayerNorm:
         Returns:
             8-bit output codes (float32), equal to the seed implementation's.
         """
-        # Stage 1: align and add, then the row mean.
-        v = self.align_a.exact_apply(codes_a) + self.align_b.exact_apply(codes_b)
+        # Stage 1: align and add, then the row mean.  Float64 results are
+        # within 2^52 and add exactly; an int64 one (past its multiplier's
+        # exact limit) takes the sum to int64.
+        v_a, v_b = self.align_a.exact_apply(codes_a), self.align_b.exact_apply(codes_b)
+        if v_a.dtype != v_b.dtype:
+            v_a, v_b = v_a.astype(np.int64), v_b.astype(np.int64)
+        v = v_a + v_b
         n = v.shape[-1]
         gamma, beta = self._gamma_i64, self._beta_aligned
         v_bound = max_abs(v)

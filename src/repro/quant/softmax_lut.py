@@ -24,7 +24,6 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..autograd.functional import ste_round
-from .intgemm import max_abs
 
 LUT_ENTRIES = 256
 OUTPUT_LEVELS = 255  # 8-bit unsigned numerator/output codes: 0..255
@@ -82,21 +81,17 @@ def quantized_softmax(
         8-bit exp codes, exposed because the accelerator's softmax core
         streams them to the divider.
     """
-    score_codes = np.asarray(score_codes)
+    score_codes = np.asarray(score_codes, dtype=np.int64)
     if lut is None:
         lut = build_exp_lut(score_scale, output_levels=output_levels)
-    # Codes and their differences from the row max fit int16 while the
-    # codes stay within 2^14 (8-bit codes always do); wider codes use int64.
-    dtype = np.int16 if 2 * max_abs(score_codes) < 2 ** 15 else np.int64
-    codes = score_codes.astype(dtype, copy=False)
     if mask is not None:
-        valid = np.broadcast_to(np.asarray(mask, dtype=bool), codes.shape)
-        masked_codes = np.where(valid, codes, np.iinfo(dtype).min)
+        valid = np.broadcast_to(np.asarray(mask, dtype=bool), score_codes.shape)
+        masked_codes = np.where(valid, score_codes, np.iinfo(np.int64).min)
         row_max = masked_codes.max(axis=-1, keepdims=True)
     else:
         valid = None
-        row_max = codes.max(axis=-1, keepdims=True)
-    diffs = row_max - codes  # >= 0 on valid positions
+        row_max = score_codes.max(axis=-1, keepdims=True)
+    diffs = row_max - score_codes  # >= 0 on valid positions
     diffs = np.clip(diffs, 0, len(lut) - 1)
     numerators = lut[diffs]
     if valid is not None:

@@ -142,6 +142,28 @@ class TestLayerNormEquivalence:
             ln.forward(a, b), reference_layernorm_forward(ln, a, b)
         )
 
+    @pytest.mark.parametrize("factor", [2.0 ** 21 * 1.3, 2.0 ** 23 * 1.3])
+    def test_wide_inputs_match_the_seed(self, model, rng, factor):
+        """Aligned inputs past 2^53, whose multiplier leaves its exact limit.
+
+        The seed's int64 arithmetic is exact and overflow-free here.  Near
+        constant rows make the normalization sensitive to one unit of the
+        mean, so a float64 row sum, or an int64 input widened into a
+        float64 sum, changes output codes."""
+        import dataclasses
+
+        ln = dataclasses.replace(
+            model.layers[0].attention_layernorm,
+            align_a=FixedPointMultiplier.from_float(factor),
+        )
+        top = (2 ** 63 - 1) // ln.align_a.multiplier - 1
+        a = np.full((16, 32), top) - rng.integers(0, 4, size=(16, 1))
+        b = rng.integers(0, 2, size=(16, 32))
+        assert ln.align_a.apply(a).min() > 2 ** 53
+        np.testing.assert_array_equal(
+            ln.forward(a, b), reference_layernorm_forward(ln, a, b)
+        )
+
     def test_invalidate_cache_tracks_param_edits(self, model, rng):
         ln = model.layers[1].output_layernorm
         a = _activation_codes(rng, (2, 32), "random")

@@ -166,6 +166,23 @@ class TestFloatRequant:
         assert got.dtype == np.float64  # the float path ran
         np.testing.assert_array_equal(got, fpm.apply(acc))
 
+    @pytest.mark.parametrize(
+        "fpm",
+        [
+            FixedPointMultiplier.from_float(1638.4),
+            FixedPointMultiplier.from_float(3e9),  # negative shift
+            FixedPointMultiplier(multiplier=3, shift=0),
+            FixedPointMultiplier(multiplier=2 ** 31 - 1, shift=1),
+        ],
+    )
+    def test_exact_apply_results_add_exactly(self, fpm):
+        """Float results stay within 2^52, so Add&LN's sum of two is exact."""
+        limit = fpm._float_constants[2]
+        got = fpm.exact_apply(np.array([-limit, limit]))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, fpm.apply(np.array([-limit, limit])))
+        assert np.abs(got).max() <= 2 ** 52
+
     def test_exact_apply_falls_back_beyond_the_limit(self):
         fpm = FixedPointMultiplier.from_float(0.0037)
         acc = np.array([fpm._float_constants[2] + 1, 5])
@@ -200,6 +217,37 @@ class TestFloatRequant:
         got = fpm.requantize(acc, 8)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, saturate(fpm.apply(acc), 8))
+
+    def test_requantize_past_apply_overflow(self, rng):
+        """Where |acc|*m reaches 2^63, apply's int64 product wraps.  The
+        certified float path still returns the rail of the exact result;
+        the uncertified int64 fallback wraps exactly as apply does."""
+        fpm = FixedPointMultiplier.from_float(0.0071)
+        m, shift = fpm.multiplier, fpm.shift
+        assert fpm.certifies(8) and m >= 2 ** 30
+        acc = np.concatenate(
+            [
+                [2 ** 40, -(2 ** 40), 2 ** 62, -(2 ** 63), 2 ** 63 - 1],
+                rng.integers(2 ** 33, 2 ** 63 - 1, size=2000),
+                -rng.integers(2 ** 33, 2 ** 63 - 1, size=2000),
+            ]
+        ).astype(np.int64)
+        assert (np.abs(acc.astype(np.float64)) * m >= 2.0 ** 63).all()
+        exact = [
+            min(127, max(-128, _staged_shift(int(a), m, shift))) for a in acc.tolist()
+        ]
+        assert exact[:2] == [127, -128]
+        wrapped = saturate(fpm.apply(acc), 8)
+        assert wrapped.tolist() != exact  # the int64 evaluation wraps here
+        assert fpm.requantize(acc, 8).tolist() == exact
+        # An addend the certificate does not cover forces the int64 fallback.
+        half = acc // 2
+        huge = np.array([2 ** 40])
+        assert not fpm.certifies(8, 2 ** 40)
+        np.testing.assert_array_equal(
+            fpm.requantize((half - huge[0])[:, None], 8, addend=huge)[:, 0],
+            saturate(fpm.apply(half), 8),
+        )
 
     def test_requantize_folds_the_addend(self, rng):
         fpm = FixedPointMultiplier.from_float(0.0071)
@@ -300,6 +348,9 @@ class TestIsqrtAgainstMathIsqrt:
                 rng.integers(1, 2 ** 26 + 1, size=100000),
                 2 ** 26 - np.arange(0, 64),
                 2 ** np.arange(0, 27),
+                # Above 2^52 the float64 guess alone must land within 1.
+                rng.integers(2 ** 26, 3037000499, size=100000),
+                3037000499 - np.arange(0, 64),
             ]
         ).astype(np.int64)
         values = np.concatenate([k * k - 1, k * k, k * k + 1])
