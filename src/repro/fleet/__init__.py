@@ -67,8 +67,7 @@ from .metrics import (
     FleetStats,
     ReplicaStats,
     TenantStats,
-    build_fleet_stats,
-    safe_percentile,
+    build_fleet_stats_columns,
 )
 from .runner import FailureEvent, FleetReport, run_scenario
 from .scenarios import (
@@ -114,8 +113,7 @@ __all__ = [
     "FleetStats",
     "ReplicaStats",
     "TenantStats",
-    "build_fleet_stats",
-    "safe_percentile",
+    "build_fleet_stats_columns",
     "FailureEvent",
     "FleetReport",
     "run_scenario",

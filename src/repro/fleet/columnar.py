@@ -1273,7 +1273,6 @@ class ColumnarFleetEngine:
             arrival_ms=prep.arrival,
             finish_ms=finish,
             shed_code=shed,
-            shed_reasons=SHED_REASON_OF_CODE,
             migrations=int(state.iv[I_MIGRATIONS]),
             replicas=replica_rows,
             scale_events=list(state.events),

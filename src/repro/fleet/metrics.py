@@ -10,26 +10,13 @@ clock, so reports are byte-identical across runs of the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..serve.metrics import percentile, percentile_sorted
+from ..serve.metrics import latency_summary
 from .autoscale import ScaleEvent
-from .chaos import ChaosStats
-from .fleet import Replica, RequestRecord
-
-
-def safe_percentile(values: Sequence[float], q: float) -> float:
-    """:func:`repro.serve.metrics.percentile`, but 0.0 for an empty input.
-
-    Emptiness is checked with ``len()`` (not truthiness) so numpy latency
-    columns — including the degenerate single-element and empty shards the
-    merge path produces — take the same branches as plain lists.
-    """
-    if len(values) == 0:
-        return 0.0
-    return percentile(values, q)
+from .chaos import SHED_REASON_OF_CODE, ChaosStats
 
 
 @dataclass
@@ -210,177 +197,6 @@ class FleetStats:
         }
 
 
-def _latency_block(latencies: List[float]) -> Dict[str, float]:
-    """Percentiles/mean/max of one latency list, sorting exactly once.
-
-    The mean still sums the *unsorted* list (same accumulation order as
-    before the single-sort change), so outputs stay byte-identical to the
-    seed implementation — the property the determinism tests pin.
-    """
-    if not latencies:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}
-    ordered = sorted(latencies)
-    return {
-        "p50": percentile_sorted(ordered, 50),
-        "p95": percentile_sorted(ordered, 95),
-        "p99": percentile_sorted(ordered, 99),
-        "mean": sum(latencies) / len(latencies),
-        "max": ordered[-1],
-    }
-
-
-def build_fleet_stats(
-    records: List[RequestRecord],
-    replicas: List[Replica],
-    scale_events: List[ScaleEvent],
-    duration_ms: float,
-    chaos: Optional[ChaosStats] = None,
-) -> FleetStats:
-    """Aggregate a finished fleet run into :class:`FleetStats`.
-
-    Args:
-        records: All request records (collected — completions filled in).
-        replicas: Every replica that ever existed (live and retired).
-        scale_events: The autoscaler's audit trail (empty if disabled).
-        duration_ms: Denominator for throughput/goodput — the scenario
-            duration or the last completion, whichever is later.
-        chaos: Resilience counters when a policy was active, else ``None``
-            (the report then keeps its pre-chaos bytes).
-
-    Returns:
-        The empty-safe :class:`FleetStats`.
-    """
-    # One pass over the records fills every aggregate: the per-tenant views
-    # used to re-scan the full record list once per tenant, which is the
-    # difference between O(N) and O(N * tenants) on million-request traces.
-    completed: List[RequestRecord] = []
-    num_shed = 0
-    slo_met = 0
-    migrations = 0
-    shed_by_reason: Dict[str, int] = {}
-    by_tenant: Dict[str, List[RequestRecord]] = {}
-    for r in records:
-        by_tenant.setdefault(r.tenant, []).append(r)
-        migrations += r.migrations
-        if r.completed:
-            completed.append(r)
-            if r.slo_met:
-                slo_met += 1
-        if r.shed:
-            num_shed += 1
-            shed_by_reason[r.shed_reason] = shed_by_reason.get(r.shed_reason, 0) + 1
-    latencies = [r.latency_ms for r in completed]
-    overall = _latency_block(latencies)
-    seconds = duration_ms / 1000.0 if duration_ms > 0 else 0.0
-
-    tenants: Dict[str, TenantStats] = {}
-    for name in sorted(by_tenant):
-        t_records = by_tenant[name]
-        t_completed = [r for r in t_records if r.completed]
-        t_latencies = [r.latency_ms for r in t_completed]
-        t_block = _latency_block(t_latencies)
-        t_slo_met = sum(r.slo_met for r in t_completed)
-        tenants[name] = TenantStats(
-            tenant=name,
-            submitted=len(t_records),
-            completed=len(t_completed),
-            shed=sum(r.shed for r in t_records),
-            slo_met=t_slo_met,
-            p50_latency_ms=t_block["p50"],
-            p95_latency_ms=t_block["p95"],
-            p99_latency_ms=t_block["p99"],
-            mean_latency_ms=t_block["mean"],
-            goodput_rps=t_slo_met / seconds if seconds else 0.0,
-        )
-
-    replica_stats: List[ReplicaStats] = []
-    for replica in sorted(replicas, key=lambda r: r.replica_id):
-        devices = replica.engine.router.devices
-        busy = sum(d.busy_ms for d in devices)
-        end = replica.retired_ms if replica.retired_ms is not None else duration_ms
-        # Failure downtime is not live time — a replica down for a third of
-        # the run should not have its utilization diluted by the outage.
-        lifetime = max(0.0, end - replica.added_ms - replica.downtime_ms)
-        replica_stats.append(
-            ReplicaStats(
-                replica_id=replica.replica_id,
-                spec_label=replica.spec.label,
-                added_ms=replica.added_ms,
-                retired_ms=replica.retired_ms if replica.retired_ms is not None else -1.0,
-                failures=replica.failures,
-                busy_ms=busy,
-                batches_served=sum(d.batches_served for d in devices),
-                requests_served=sum(d.requests_served for d in devices),
-                utilization=min(1.0, busy / lifetime) if lifetime > 0 else 0.0,
-            )
-        )
-
-    return FleetStats(
-        duration_ms=duration_ms,
-        submitted=len(records),
-        completed=len(completed),
-        shed=num_shed,
-        migrations=migrations,
-        slo_met=slo_met,
-        p50_latency_ms=overall["p50"],
-        p95_latency_ms=overall["p95"],
-        p99_latency_ms=overall["p99"],
-        mean_latency_ms=overall["mean"],
-        max_latency_ms=overall["max"],
-        throughput_rps=len(completed) / seconds if seconds else 0.0,
-        goodput_rps=slo_met / seconds if seconds else 0.0,
-        shed_by_reason=shed_by_reason,
-        tenants=tenants,
-        replicas=replica_stats,
-        scale_events=list(scale_events),
-        chaos=chaos,
-    )
-
-
-# ----------------------------------------------------------------------
-# columnar aggregation: same numbers, array inputs
-# ----------------------------------------------------------------------
-def _latency_block_columns(latencies: np.ndarray) -> Dict[str, float]:
-    """:func:`_latency_block` over a float64 column, bit-identical.
-
-    ``np.sort`` is a permutation of the same doubles, ``np.cumsum`` is the
-    same left-to-right accumulation as ``sum(list)`` (both pinned by
-    tests), and :func:`percentile_sorted` interpolates identically on
-    numpy scalars — so every field matches the list path exactly.
-    """
-    n = int(latencies.shape[0])
-    if n == 0:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}
-    # Only seven order statistics are ever read (p50/p95/p99 bracket
-    # pairs + max), so one introselect pass places exactly those instead
-    # of fully sorting the column — the kth element of a partition is the
-    # same double sorting would put there.
-    brackets = {}
-    wanted = {n - 1}
-    for q in (50, 95, 99):
-        rank = (q / 100.0) * (n - 1)
-        lower = int(rank)
-        upper = min(lower + 1, n - 1)
-        brackets[q] = (rank, lower, upper)
-        wanted.update((lower, upper))
-    kth = sorted(wanted)
-    part = np.partition(latencies, kth)
-
-    def interp(q: int) -> float:
-        rank, lower, upper = brackets[q]
-        frac = rank - lower
-        # identical arithmetic to percentile_sorted on the same scalars
-        return float(part[lower] * (1.0 - frac) + part[upper] * frac)
-
-    return {
-        "p50": interp(50),
-        "p95": interp(95),
-        "p99": interp(99),
-        "mean": float(np.cumsum(latencies)[-1]) / n,
-        "max": float(part[n - 1]),
-    }
-
-
 def build_replica_stats(
     replica_id: int,
     spec_label: str,
@@ -395,10 +211,9 @@ def build_replica_stats(
 ) -> ReplicaStats:
     """One :class:`ReplicaStats` row from scalar counters.
 
-    The exact arithmetic of :func:`build_fleet_stats`'s replica loop,
-    factored out so the columnar engine (which carries these counters in
-    its shard state instead of live ``Replica`` objects) produces the
-    same rows bit for bit.
+    Both engines build their rows here: the event loop from its live
+    ``Replica`` objects, the columnar engine from the counters in its
+    shard state, so the rows agree bit for bit.
     """
     end = retired_ms if retired_ms is not None else duration_ms
     # Failure downtime is not live time — a replica down for a third of
@@ -426,22 +241,22 @@ def build_fleet_stats_columns(
     arrival_ms: np.ndarray,
     finish_ms: np.ndarray,
     shed_code: np.ndarray,
-    shed_reasons: Mapping[int, str],
     migrations: int,
     replicas: List[ReplicaStats],
     scale_events: List[ScaleEvent],
     chaos: Optional[ChaosStats] = None,
 ) -> FleetStats:
-    """:func:`build_fleet_stats` over columns instead of record objects.
+    """Aggregate a finished fleet run, from per-request columns.
 
-    One row per submitted request, in submission order: ``shed_code == 0``
-    means completed (then ``finish_ms`` holds the completion time);
-    non-zero codes map to shed reasons via ``shed_reasons``.  Latency is
-    computed as ``finish - arrival`` exactly as ``RequestRecord.collect``
-    does, per-tenant slices preserve submission order (boolean masks are
-    order-preserving), and every reduction uses the accumulation order the
-    record path uses — the outputs are bit-identical by construction and
-    pinned by the differential suite.
+    The one fleet stats builder: the event loop and the columnar engine
+    both hand it their requests as columns.  One row per submitted
+    request, in submission order: ``shed_code == 0`` means completed
+    (then ``finish_ms`` holds the completion time); non-zero codes map to
+    shed reasons via :data:`~repro.fleet.chaos.SHED_REASON_OF_CODE`.
+    Latency is ``finish - arrival``, the subtraction ``Fleet.collect``
+    performs; per-tenant slices keep submission order (boolean masks are
+    order-preserving), and every latency block is
+    :func:`~repro.serve.metrics.latency_summary`.
 
     Args:
         duration_ms: Denominator for throughput/goodput — the scenario
@@ -452,10 +267,11 @@ def build_fleet_stats_columns(
         arrival_ms: Per-request arrival column (float64).
         finish_ms: Per-request completion time; only read where completed.
         shed_code: Per-request shed code (0 = completed).
-        shed_reasons: Maps non-zero shed codes to reason strings.
         migrations: Total successful queue migrations.
         replicas: Prebuilt :class:`ReplicaStats` rows, id order.
         scale_events: The autoscaler's audit trail (empty if disabled).
+        chaos: Resilience counters when a policy was active, else ``None``
+            (the report then keeps its pre-chaos bytes).
 
     Returns:
         The empty-safe :class:`FleetStats`.
@@ -465,12 +281,11 @@ def build_fleet_stats_columns(
     num_completed = int(completed_mask.sum())
     num_shed = submitted - num_completed
     # finish - arrival is garbage on shed rows, but shed rows are never
-    # selected; completed rows see the identical subtraction the record
-    # path performs.
+    # selected.
     latency = finish_ms - arrival_ms
     all_lat = latency[completed_mask]
     slo_met = int((all_lat <= slo_ms[completed_mask]).sum())
-    overall = _latency_block_columns(all_lat)
+    overall = latency_summary(all_lat)
     seconds = duration_ms / 1000.0 if duration_ms > 0 else 0.0
 
     shed_by_reason: Dict[str, int] = {}
@@ -478,7 +293,7 @@ def build_fleet_stats_columns(
         counts = np.bincount(shed_code)
         for code in range(1, counts.shape[0]):
             if counts[code]:
-                shed_by_reason[shed_reasons[code]] = int(counts[code])
+                shed_by_reason[SHED_REASON_OF_CODE[code]] = int(counts[code])
 
     if not submitted:
         present = np.zeros(len(tenant_names), dtype=np.int64)
@@ -505,7 +320,7 @@ def build_fleet_stats_columns(
             t_mask = tenant_idx == tid
             t_comp = t_mask & completed_mask
             t_lat = latency[t_comp]
-            t_block = _latency_block_columns(t_lat)
+            t_block = latency_summary(t_lat)
             t_slo_met = int((t_lat <= slo_ms[t_comp]).sum())
             t_submitted = int(t_mask.sum())
             t_completed = int(t_comp.sum())

@@ -21,12 +21,14 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from .autoscale import AutoscalePolicy, Autoscaler
-from .chaos import ChaosPlan, ResiliencePolicy
+from .chaos import SHED_CODE_OF_REASON, ChaosPlan, ResiliencePolicy
 from .fleet import Fleet, FleetConfig, ReplicaSpec
-from .metrics import FleetStats, build_fleet_stats
+from .metrics import FleetStats, build_fleet_stats_columns, build_replica_stats
 from .scenarios import ColumnarTrace, FleetRequest, Scenario, builtin_scenarios
 
 # event kinds, in same-timestamp processing order
@@ -312,11 +314,40 @@ def run_scenario(
     fleet.drain()
     records = fleet.collect()
     last_finish = max((r.finish_ms for r in records if r.completed), default=0.0)
-    stats = build_fleet_stats(
-        records,
-        replicas=list(fleet.replicas.values()),
+    duration_ms = max(duration_ms, last_finish)
+    # The records become the columns the columnar engine finalizes with,
+    # tenants indexed in order of first submission.
+    tenant_of: Dict[str, int] = {}
+    tenant_idx = [tenant_of.setdefault(r.tenant, len(tenant_of)) for r in records]
+    replica_rows = []
+    for replica in sorted(fleet.replicas.values(), key=lambda r: r.replica_id):
+        devices = replica.engine.router.devices
+        replica_rows.append(build_replica_stats(
+            replica.replica_id,
+            replica.spec.label,
+            replica.added_ms,
+            replica.retired_ms,
+            replica.failures,
+            sum(d.busy_ms for d in devices),
+            sum(d.batches_served for d in devices),
+            sum(d.requests_served for d in devices),
+            replica.downtime_ms,
+            duration_ms,
+        ))
+    stats = build_fleet_stats_columns(
+        duration_ms=duration_ms,
+        tenant_names=list(tenant_of),
+        tenant_idx=np.array(tenant_idx, dtype=np.int64),
+        slo_ms=np.array([r.slo_ms for r in records], dtype=np.float64),
+        arrival_ms=np.array([r.arrival_ms for r in records], dtype=np.float64),
+        finish_ms=np.array([r.finish_ms for r in records], dtype=np.float64),
+        shed_code=np.array(
+            [SHED_CODE_OF_REASON[r.shed_reason] if r.shed else 0 for r in records],
+            dtype=np.uint8,
+        ),
+        migrations=sum(r.migrations for r in records),
+        replicas=replica_rows,
         scale_events=autoscaler.events if autoscaler else [],
-        duration_ms=max(duration_ms, last_finish),
         # The chaos section appears iff the caller opted into the chaos
         # layer (a plan or a policy) — plain runs keep their exact bytes.
         chaos=fleet.chaos if (chaos is not None or resilience is not None) else None,

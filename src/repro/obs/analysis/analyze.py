@@ -14,7 +14,7 @@ always produce the same report bytes, which is what lets CI byte-diff
 ``repro.cli obs report`` across reruns.
 
 Critical-path phases come from the batch spans' worst-request
-decomposition (see :meth:`FleetObserver.on_batch`): ``retry-hedge``
+decomposition (see ``FleetObserver.on_batch``): ``retry-hedge``
 (arrival to final enqueue), ``batch-wait`` (enqueue to the batch's last
 enqueue), ``queue-wait`` (last enqueue to dispatch), and ``service``.
 """

@@ -1,11 +1,11 @@
 """Deterministic mergeable quantile sketch for windowed latency streams.
 
 The windowed percentile path used to sort every window's latency list and
-interpolate (``percentile_sorted``).  That is exact but not *mergeable*:
-two shards' windows can only combine by concatenating raw samples.  This
-module replaces it with a **log-bucket digest** whose merge is an exact
-monoid — integer bucket counts add, extrema fold — so shard partials
-combine losslessly, in any order, in any grouping:
+interpolate (:func:`repro.serve.metrics.percentile`).  That is exact but
+not *mergeable*: two shards' windows can only combine by concatenating raw
+samples.  This module replaces it with a **log-bucket digest** whose merge
+is an exact monoid — integer bucket counts add, extrema fold — so shard
+partials combine losslessly, in any order, in any grouping:
 
     ``merge(a, b) == merge(b, a)`` and
     ``merge(merge(a, b), c) == merge(a, merge(b, c))``  (bit-for-bit).
@@ -231,7 +231,7 @@ class QuantileSketch:
         return (self.sum_fp / _SUM_SCALE) / self.total
 
     def quantile(self, q: float) -> float:
-        """Estimated ``q``-th percentile, mirroring ``percentile_sorted``.
+        """Estimated ``q``-th percentile, mirroring ``percentile``.
 
         Same rank rule — ``rank = (q/100) * (n-1)``, linear interpolation
         between the two neighbouring order statistics — with each order
@@ -256,7 +256,7 @@ class QuantileSketch:
     def quantile_bounds(self, q: float) -> Tuple[float, float]:
         """Guaranteed ``(lo, hi)`` interval for the **exact** percentile.
 
-        The exact sorted-list ``percentile_sorted`` of the absorbed
+        The exact sorted-list ``percentile`` of the absorbed
         multiset always lies inside, and so does :meth:`quantile` —
         this is the documented bucket-resolution contract
         (relative width at most :data:`RESOLUTION`).
@@ -305,7 +305,7 @@ class QuantileSketch:
 
         The first and last order statistics ARE the tracked extrema, so
         they come back exact — ``quantile(0)`` and ``quantile(100)``
-        mirror ``percentile_sorted`` to the bit.
+        mirror ``percentile`` to the bit.
         """
         if index <= 0:
             return float(self.minimum)  # type: ignore[arg-type]

@@ -104,43 +104,29 @@ class FleetObserver:
         self._batch_rows: List[tuple] = []
         self._first_failure_ms: Optional[float] = None
         self._finalized = False
-        # Per-request callbacks bind straight to the tracker methods,
-        # skipping one call frame on the hot loop (these shadow the
-        # identically-behaved methods below, which stay as documentation
-        # and as the override points for subclasses).
-        self.on_arrival = self.windows.record_arrival
+        # Engine callbacks (both engines call these with identical
+        # values).  The per-request ones bind straight to the tracker
+        # methods, skipping one call frame on the hot loop.
         self.on_arrivals = self.windows.record_arrivals
         self.on_shed = self.windows.record_shed
         self.on_sheds = self.windows.record_sheds
-        self.on_completion = self.windows.record_completion
         self.on_completions = self.windows.record_completions
+        # on_batch records one dispatched batch as ``(replica_id, bucket,
+        # size, start_ms, service_ms, wl, wr, wb, wq)``, where the ``w*``
+        # tail is the critical-path decomposition of the batch's **worst
+        # request** (earliest fleet arrival, ties by earliest enqueue):
+        # ``wl`` its end-to-end latency, ``wr`` retry/hedge time (arrival
+        # to final enqueue), ``wb`` batch formation (its enqueue to the
+        # batch's last enqueue), ``wq`` queue wait (last enqueue to
+        # dispatch); ``wl == wr + wb + wq + service_ms`` up to float
+        # rounding.  It fires once per batch, the hottest trace stream,
+        # so it is a bare list append; _seal_rows turns the buffered
+        # tuples into one column chunk later (export is sorted, so when
+        # that happens does not change a byte).
         self.on_batch = self._batch_rows.append
 
     def __bool__(self) -> bool:
         return True
-
-    # ------------------------------------------------------------------
-    # engine callbacks (both engines call these with identical values)
-    # ------------------------------------------------------------------
-    def on_arrival(self, t_ms: float) -> None:
-        self.windows.record_arrival(t_ms)
-
-    def on_arrivals(self, times_ms) -> None:
-        self.windows.record_arrivals(times_ms)
-
-    def on_shed(self, t_ms: float, reason: str) -> None:
-        self.windows.record_shed(t_ms, reason)
-
-    def on_sheds(self, times_ms, reason: str) -> None:
-        self.windows.record_sheds(times_ms, reason)
-
-    def on_completion(self, finish_ms: float, latency_ms: float, slo_met: bool) -> None:
-        self.windows.record_completion(finish_ms, latency_ms, slo_met)
-
-    def on_completions(
-        self, finish_ms: float, latencies: List[float], slo_met: int
-    ) -> None:
-        self.windows.record_completions(finish_ms, latencies, slo_met)
 
     def on_batch_columns(
         self, replica, bucket, size, offset, start, service, finish,
@@ -151,7 +137,7 @@ class FleetObserver:
         Numpy columns: the first seven hold one entry per batch; the
         last three one per completed request, batch ``j``'s requests at
         ``[offset[j], offset[j] + size[j])``.  Records the same window
-        completions and :meth:`on_batch` spans as a per-batch loop, from
+        completions and ``on_batch`` spans as a per-batch loop, from
         the same IEEE operations on the same operands — this is how the
         columnar engine's post-pass hands over its batch log.  The spans
         are kept as one column chunk.
@@ -171,27 +157,8 @@ class FleetObserver:
             worst_enq - worst_arr, last_enq - worst_enq, start - last_enq,
         ))
 
-    def on_batch(self, span: tuple) -> None:
-        """Record one dispatched batch.
-
-        ``span`` is ``(replica_id, bucket, size, start_ms, service_ms,
-        wl, wr, wb, wq)`` where the ``w*`` tail is the critical-path
-        decomposition of the batch's **worst request** (earliest fleet
-        arrival, ties by earliest enqueue): ``wl`` its end-to-end latency,
-        ``wr`` retry/hedge time (arrival to final enqueue), ``wb`` batch
-        formation (its enqueue to the batch's last enqueue), ``wq`` queue
-        wait (last enqueue to dispatch); ``wl == wr + wb + wq +
-        service_ms`` up to float rounding.  It takes the whole tuple so
-        the bound callback can be a bare list append — this fires once
-        per batch, the hottest trace stream.  :meth:`_seal_rows` turns
-        the buffered tuples into one column chunk later (export is
-        sorted, so when that happens does not change a byte).
-        """
-
-        self._batch_rows.append(span)
-
     def _seal_rows(self) -> None:
-        """Move buffered :meth:`on_batch` tuples into one column chunk.
+        """Move buffered ``on_batch`` tuples into one column chunk.
 
         Clears the buffer in place, so the bound ``on_batch`` append
         keeps recording into it.

@@ -230,6 +230,9 @@ class FloatLayerNorm:
         return np.clip(np.rint(y * self.out_scale), qmin, qmax).astype(np.int64)
 
 
+_GELU_OFFSET = 1 << (ACT_BITS - 1)  # code -128 is table row 0
+
+
 @dataclass
 class GeluLUT:
     """256-entry GELU lookup table: 8-bit input codes -> 8-bit output codes.
@@ -239,22 +242,24 @@ class GeluLUT:
     without DSPs.
     """
 
-    table: np.ndarray  # indexed by code + 127
+    table: np.ndarray  # indexed by code + 128
     in_scale: float
     out_scale: float
 
     @classmethod
     def build(cls, in_scale: float, out_scale: float) -> "GeluLUT":
-        qmin, qmax = int_range(ACT_BITS)
-        codes = np.arange(qmin, qmax + 1, dtype=np.int64)
+        # Every input the ROM can see: requantization saturates to the
+        # full 8-bit range [-128, 127], one code wider than the symmetric
+        # quantizer range the outputs are clipped to.
+        codes = np.arange(-_GELU_OFFSET, _GELU_OFFSET, dtype=np.int64)
         x = codes / in_scale
         gelu = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+        qmin, qmax = int_range(ACT_BITS)
         out = np.clip(np.rint(gelu * out_scale), qmin, qmax).astype(np.int64)
         return cls(table=out, in_scale=in_scale, out_scale=out_scale)
 
     def forward(self, codes: np.ndarray) -> np.ndarray:
-        qmin, _ = int_range(ACT_BITS)
-        index = (np.asarray(codes) - qmin).astype(np.intp, copy=False)
+        index = (np.asarray(codes) + _GELU_OFFSET).astype(np.intp, copy=False)
         return self.table.astype(exact_dtype(max_abs(self.table)), copy=False)[index]
 
 

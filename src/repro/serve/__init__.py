@@ -26,7 +26,7 @@ from .engine import (
     TraceRequest,
     generate_trace,
 )
-from .metrics import ServingStats, build_stats, percentile, percentile_sorted
+from .metrics import ServingStats, build_stats, latency_summary, percentile
 from .router import DeviceRouter, DeviceSpec, DeviceState, Dispatch
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
     "ServingStats",
     "build_stats",
     "percentile",
-    "percentile_sorted",
+    "latency_summary",
     "DeviceRouter",
     "DeviceSpec",
     "DeviceState",

@@ -10,12 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile of ``values``.
 
-    Implemented here (rather than ``np.percentile``) so the metric is
-    dependency-light and its exact semantics are pinned for the tests.
+    Implemented here (rather than ``np.percentile``) so its exact
+    semantics are pinned: it is the oracle :func:`latency_summary` must
+    match bit for bit.
 
     Args:
         values: Non-empty sequence of samples (any order).
@@ -25,42 +28,16 @@ def percentile(values: Sequence[float], q: float) -> float:
         The linearly interpolated percentile value.
 
     Raises:
-        ValueError: If ``q`` is out of range or ``values`` is empty.
+        ValueError: If ``q`` is out of range or ``values`` is empty.  The
+            range is checked first: a bad ``q`` is the caller's bug.
     """
-    # Same check order as percentile_sorted — range before emptiness — so
-    # both functions raise the same error on the same bad input.
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    # len(), not truthiness: a numpy array of more than one element raises
-    # "truth value is ambiguous" under `if not values`, and degenerate
-    # shards hand this exact shape to the merge path.
+    # len(), not truthiness, so numpy columns take the same branches as
+    # plain lists.
     if len(values) == 0:
         raise ValueError("percentile of empty sequence")
-    return percentile_sorted(sorted(values), q)
-
-
-def percentile_sorted(ordered: Sequence[float], q: float) -> float:
-    """:func:`percentile` of an **already sorted** sequence (no re-sort).
-
-    The aggregation hot path: a stats block reads several percentiles of
-    one latency list, and sorting a million-request trace once instead of
-    once per percentile is the difference the fleet bench measures.  Same
-    interpolation, bit-identical results.
-
-    Args:
-        ordered: Non-empty sequence of samples, sorted ascending.
-        q: Percentile rank in [0, 100].
-
-    Returns:
-        The linearly interpolated percentile value.
-
-    Raises:
-        ValueError: If ``q`` is out of range or ``ordered`` is empty.
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    if len(ordered) == 0:
-        raise ValueError("percentile of empty sequence")
+    ordered = sorted(values)
     if len(ordered) == 1:
         return float(ordered[0])
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -68,6 +45,53 @@ def percentile_sorted(ordered: Sequence[float], q: float) -> float:
     upper = min(lower + 1, len(ordered) - 1)
     frac = rank - lower
     return float(ordered[lower] * (1.0 - frac) + ordered[upper] * frac)
+
+
+def latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
+    """p50/p95/p99/mean/max of one latency column, all 0.0 when empty.
+
+    The one latency summary behind every serving and fleet report.  Only
+    seven order statistics are read (the p50/p95/p99 bracket pairs and
+    the max), so one introselect pass places exactly those instead of
+    sorting the column: the kth element of a partition is the same double
+    a sort puts there, and the interpolation is :func:`percentile`'s
+    arithmetic on the same scalars.  The mean is ``np.cumsum``'s
+    left-to-right accumulation, the order ``sum(list)`` uses.  So every
+    field equals the :func:`percentile` / ``sum(list) / n`` oracle bit
+    for bit, which the tests pin.
+
+    Args:
+        latencies: Latencies in any order (a float64 column or a list).
+
+    Returns:
+        ``{"p50", "p95", "p99", "mean", "max"}`` as Python floats.
+    """
+    latencies = np.asarray(latencies, dtype=np.float64)
+    n = int(latencies.shape[0])
+    if n == 0:
+        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}
+    brackets = {}
+    wanted = {n - 1}
+    for q in (50, 95, 99):
+        rank = (q / 100.0) * (n - 1)
+        lower = int(rank)
+        upper = min(lower + 1, n - 1)
+        brackets[q] = (rank, lower, upper)
+        wanted.update((lower, upper))
+    part = np.partition(latencies, sorted(wanted))
+
+    def interp(q: int) -> float:
+        rank, lower, upper = brackets[q]
+        frac = rank - lower
+        return float(part[lower] * (1.0 - frac) + part[upper] * frac)
+
+    return {
+        "p50": interp(50),
+        "p95": interp(95),
+        "p99": interp(99),
+        "mean": float(np.cumsum(latencies)[-1]) / n,
+        "max": float(part[n - 1]),
+    }
 
 
 @dataclass
@@ -177,16 +201,16 @@ def build_stats(
     n = len(latencies_ms)
     if n == 0:
         return ServingStats.empty()
-    ordered = sorted(latencies_ms)  # one sort feeds every percentile + max
+    latency = latency_summary(latencies_ms)
     return ServingStats(
         num_requests=n,
         num_batches=num_batches,
         makespan_ms=makespan_ms,
-        p50_latency_ms=percentile_sorted(ordered, 50),
-        p95_latency_ms=percentile_sorted(ordered, 95),
-        p99_latency_ms=percentile_sorted(ordered, 99),
-        mean_latency_ms=sum(latencies_ms) / n,
-        max_latency_ms=ordered[-1],
+        p50_latency_ms=latency["p50"],
+        p95_latency_ms=latency["p95"],
+        p99_latency_ms=latency["p99"],
+        mean_latency_ms=latency["mean"],
+        max_latency_ms=latency["max"],
         mean_queue_ms=sum(queue_ms) / n if queue_ms else 0.0,
         throughput_rps=n / (makespan_ms / 1000.0) if makespan_ms > 0 else float("inf"),
         cache_hit_rate=cache_hit_rate,

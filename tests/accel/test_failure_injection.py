@@ -98,7 +98,7 @@ class TestGeluLutCorruption:
         baseline = engine.forward(ids, mask)
         gelu = engine.layers[0].gelu
         original = gelu.table.copy()
-        gelu.table[:] = np.arange(-127, 128)  # identity instead of GELU
+        gelu.table[:] = np.arange(-128, 128)  # identity instead of GELU
         corrupted = engine.forward(ids, mask)
         gelu.table[:] = original
         assert not np.array_equal(baseline, corrupted)

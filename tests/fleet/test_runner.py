@@ -2,15 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.fleet import (
     FailureEvent,
     FleetRequest,
-    build_fleet_stats,
+    build_fleet_stats_columns,
     builtin_scenarios,
     run_scenario,
-    safe_percentile,
 )
 
 
@@ -87,12 +87,14 @@ class TestRunScenario:
 
 
 class TestEmptySafety:
-    def test_safe_percentile_empty(self):
-        assert safe_percentile([], 99) == 0.0
-        assert safe_percentile([5.0], 99) == 5.0
-
     def test_stats_from_no_records(self):
-        stats = build_fleet_stats([], replicas=[], scale_events=[], duration_ms=0.0)
+        empty = np.empty(0)
+        stats = build_fleet_stats_columns(
+            duration_ms=0.0, tenant_names=[],
+            tenant_idx=empty.astype(np.int64), slo_ms=empty, arrival_ms=empty,
+            finish_ms=empty, shed_code=empty.astype(np.uint8), migrations=0,
+            replicas=[], scale_events=[],
+        )
         assert stats.submitted == 0
         assert stats.shed_rate == 0.0
         assert stats.slo_attainment == 1.0

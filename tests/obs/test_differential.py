@@ -252,7 +252,7 @@ class TestDisabledPaths:
     def test_null_observer_is_falsy_noop(self):
         null = NullObserver()
         assert not null
-        assert null.on_arrival(1.0) is None
+        assert null.on_arrivals([1.0]) is None
         assert null.finalize(None) is None
 
     @pytest.mark.skipif(not native_available(), reason="no C compiler")

@@ -83,12 +83,12 @@ class TestIntegerLinear:
 class TestGeluLUT:
     def test_table_has_256_entries(self):
         lut = GeluLUT.build(in_scale=16.0, out_scale=16.0)
-        assert len(lut.table) == 255  # codes -127..127
+        assert len(lut.table) == 256  # codes -128..127
 
     def test_matches_float_gelu(self):
         in_scale, out_scale = 16.0, 20.0
         lut = GeluLUT.build(in_scale, out_scale)
-        codes = np.arange(-127, 128)
+        codes = np.arange(-128, 128)
         x = codes / in_scale
         gelu = 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x ** 3)))
         expected = np.clip(np.rint(gelu * out_scale), -127, 127)
@@ -97,6 +97,19 @@ class TestGeluLUT:
     def test_zero_maps_to_zero(self):
         lut = GeluLUT.build(10.0, 10.0)
         assert lut.forward(np.array([0]))[0] == 0
+
+    def test_saturated_low_code_reads_its_own_entry(self):
+        """Requantization saturates to -128, so the ROM holds that row too:
+        -128 maps to GELU(-128 / s), not to the +127 entry."""
+        lut = GeluLUT.build(in_scale=128.0, out_scale=100.0)
+        # GELU(-1.0) = -0.1588 -> -16; GELU(127/128) = 0.8259 -> 83
+        np.testing.assert_array_equal(
+            lut.forward(np.array([-128, 127])), [-16, 83]
+        )
+        lut = GeluLUT.build(20.0, 20.0)
+        np.testing.assert_array_equal(
+            lut.forward(np.array([-128, -127, 0, 127])), [0, 0, 0, 127]
+        )
 
 
 class TestIntegerLayerNorm:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve import ServingStats, build_stats, percentile, percentile_sorted
+from repro.serve import ServingStats, build_stats, latency_summary, percentile
 
 
 class TestPercentile:
@@ -35,32 +35,38 @@ class TestPercentile:
         )
 
     def test_error_ordering_matches_sorted_variant(self):
-        # empty + out-of-range q: both variants must report the range
-        # error (the caller's bug) rather than the emptiness error
+        # empty + out-of-range q: report the range error (the caller's
+        # bug) rather than the emptiness error
         with pytest.raises(ValueError, match=r"\[0, 100\]"):
             percentile([], 150)
-        with pytest.raises(ValueError, match=r"\[0, 100\]"):
-            percentile_sorted([], 150)
 
 
-class TestPercentileSorted:
-    """The single-sort fast path must be bit-identical to `percentile`."""
+class TestLatencySummary:
+    """The introselect latency summary must be bit-identical to the
+    `percentile` / ``sum(list) / n`` / ``max`` oracle."""
 
     def test_matches_percentile_on_random_data(self):
         import random
 
         rng = random.Random(7)
-        values = [rng.uniform(0.0, 100.0) for _ in range(257)]
-        ordered = sorted(values)
-        for q in (0, 1, 25, 50, 75, 95, 99, 99.9, 100):
-            assert percentile_sorted(ordered, q) == percentile(values, q)
+        for n in (2, 3, 8, 100, 257, 1000):
+            values = [rng.uniform(0.0, 100.0) for _ in range(n)]
+            # ties: percentile brackets that straddle equal values
+            values += values[: n // 4]
+            rng.shuffle(values)
+            summary = latency_summary(values)
+            for q in (50, 95, 99):
+                assert summary[f"p{q}"] == percentile(values, q)
+            assert summary["mean"] == sum(values) / len(values)
+            assert summary["max"] == max(values)
 
-    def test_singleton_and_errors(self):
-        assert percentile_sorted([7.0], 95) == 7.0
-        with pytest.raises(ValueError):
-            percentile_sorted([], 50)
-        with pytest.raises(ValueError):
-            percentile_sorted([1.0], -1)
+    def test_singleton_and_empty(self):
+        assert latency_summary([7.0]) == {
+            "p50": 7.0, "p95": 7.0, "p99": 7.0, "mean": 7.0, "max": 7.0
+        }
+        assert latency_summary([]) == {
+            "p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0
+        }
 
 
 @pytest.fixture
