@@ -137,9 +137,9 @@ class Replica:
 class RequestRecord:
     """Fleet-level accounting for one submitted request.
 
-    Latency is measured from the *original* fleet arrival — a migrated
-    request keeps its first arrival time, so failover never hides queueing
-    delay.
+    Latency, ``finish_ms - arrival_ms``, is measured from the *original*
+    fleet arrival — a migrated request keeps its first arrival time, so
+    failover never hides queueing delay.
     """
 
     index: int
@@ -152,8 +152,6 @@ class RequestRecord:
     migrations: int = 0
     # filled by Fleet.collect() after the trace drains:
     finish_ms: float = 0.0
-    latency_ms: float = 0.0
-    slo_met: bool = False
     completed: bool = False
 
 
@@ -773,8 +771,6 @@ class Fleet:
                         f"{replica.replica_id} — fleet lost accepted work"
                     )
                 record.finish_ms = result.finish_ms
-                record.latency_ms = result.finish_ms - record.arrival_ms
-                record.slo_met = record.latency_ms <= record.slo_ms
                 record.completed = True
         lost = [
             r.index for r in self.records if not r.shed and not r.completed

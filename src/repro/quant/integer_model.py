@@ -37,13 +37,17 @@ The inference surface is split for serving: :meth:`encode` runs the batched
 integer encoder, :meth:`classify` / :meth:`classify_rows` run the float
 host head, and :meth:`forward` composes them (optionally chunking the
 encoder pass — the integer arithmetic makes any chunking bit-identical).
+The encoder computes only the tokens its result depends on
+(:class:`TokenRows`): the valid tokens, packed into one matrix, and in the
+last layer only the rows the caller requests, such as the head's
+``head_rows``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +62,7 @@ from .fixedpoint import (
     integer_isqrt,
 )
 from .intgemm import EXACT_F64_LIMIT, CachedMatmul, exact_dtype, exact_matmul, max_abs
-from .qat import QuantConfig
+from .qat import FakeQuantize, QuantConfig
 from .qbert import QuantBertForSequenceClassification
 from .quantizer import int_range
 from .softmax_lut import OUTPUT_LEVELS, build_exp_lut, quantized_softmax
@@ -263,6 +267,146 @@ class GeluLUT:
         return self.table.astype(exact_dtype(max_abs(self.table)), copy=False)[index]
 
 
+@dataclass(frozen=True)
+class AttentionRows:
+    """The packed token rows one layer reads as keys and computes as queries.
+
+    Attributes:
+        query_rows: Rows of the packed input whose outputs the layer
+            computes, in output order; ``None`` means every row.
+        key_rows: Rows of the packed input that are valid tokens, the only
+            keys attention reads; ``None`` means every row.
+        groups: One ``(queries, keys)`` index pair per group of sequences
+            with equal query and key counts: ``queries`` is ``(G, nq)`` into
+            the query rows and ``keys`` is ``(G, nk)`` into the key rows.
+    """
+
+    query_rows: Optional[np.ndarray]
+    key_rows: Optional[np.ndarray]
+    groups: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+
+@dataclass(frozen=True)
+class TokenRows:
+    """Which token rows one encoder pass computes, as packed-row indices.
+
+    The valid tokens (the attention mask) and the output rows the caller
+    asks for drive the whole pass.  Every layer but the last computes the
+    valid rows and the requested ones; the last computes K/V over the valid
+    rows and everything else over the requested rows only.  Attention keys
+    are always a sequence's own valid tokens, so no code depends on the
+    padding or on the other sequences of the batch.
+
+    Attributes:
+        width: Positions embedded per sequence: the padded length trimmed
+            after the last position any sequence needs.
+        gather: Flat ``(batch * width)`` positions of the packed rows, or
+            ``None`` when every position is computed.
+        inner: The rows of every layer but the last.
+        last: The rows of the last layer; its query rows are the output.
+        out_shape: ``(batch, rows per sequence)`` of the encoder output.
+    """
+
+    width: int
+    gather: Optional[np.ndarray]
+    inner: AttentionRows
+    last: AttentionRows
+    out_shape: Tuple[int, int]
+
+    @classmethod
+    def build(cls, attention_mask: np.ndarray, rows: Optional[Sequence[int]]) -> "TokenRows":
+        """Plan the packed rows of a batch.
+
+        Args:
+            attention_mask: 0/1 validity mask, ``(batch, seq)``.
+            rows: Positions whose output codes the caller reads (the same
+                for every sequence), or ``None`` for every position, pad
+                positions included.
+
+        Raises:
+            ValueError: A mask row has no valid token, or a row lies
+                outside ``[0, seq)``.
+        """
+        valid = np.asarray(attention_mask) != 0
+        batch, seq = valid.shape
+        empty = np.flatnonzero(~valid.any(axis=1))
+        if empty.size:
+            raise ValueError(
+                f"attention_mask row {int(empty[0])} has no valid token; "
+                "every sequence needs at least one"
+            )
+        if rows is None:
+            requested = None
+            needed = np.ones_like(valid)
+        else:
+            requested = np.asarray(rows, dtype=np.intp).reshape(-1)
+            if requested.size == 0 or requested.min() < 0 or requested.max() >= seq:
+                raise ValueError(f"rows must be positions in [0, {seq}), got {requested.tolist()}")
+            needed = valid.copy()
+            needed[:, requested] = True
+        width = int(np.flatnonzero(needed.any(axis=0))[-1]) + 1
+        needed, valid = needed[:, :width], valid[:, :width]
+
+        # Packed row of every needed position, in (sequence, position) order.
+        packed = np.cumsum(needed.ravel()).reshape(batch, width) - 1
+        n_query, n_key = needed.sum(axis=1), valid.sum(axis=1)
+        query_start, key_start = np.cumsum(n_query) - n_query, np.cumsum(n_key) - n_key
+        key_rows = None if np.array_equal(valid, needed) else packed[valid]
+        inner = AttentionRows(
+            None, key_rows, _attention_groups(query_start, n_query, key_start, n_key)
+        )
+        if requested is None:
+            return cls(width, None, inner, inner, (batch, seq))
+        per_row = requested.size
+        last = AttentionRows(
+            packed[:, requested].ravel(),
+            key_rows,
+            _attention_groups(
+                np.arange(batch) * per_row, np.full(batch, per_row), key_start, n_key
+            ),
+        )
+        gather = None if needed.all() else np.flatnonzero(needed)
+        return cls(width, gather, inner, last, (batch, per_row))
+
+
+def _attention_groups(
+    query_start: np.ndarray, n_query: np.ndarray, key_start: np.ndarray, n_key: np.ndarray
+) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """Group sequences by (query count, key count) into index blocks.
+
+    Each sequence's queries and keys are contiguous in their packed rows,
+    starting at ``query_start`` and ``key_start``.
+    """
+    members: Dict[Tuple[int, int], List[int]] = {}
+    for index, counts in enumerate(zip(n_query.tolist(), n_key.tolist())):
+        members.setdefault(counts, []).append(index)
+    groups = []
+    for (nq, nk), seqs in members.items():
+        seqs = np.asarray(seqs)
+        groups.append(
+            (query_start[seqs, None] + np.arange(nq), key_start[seqs, None] + np.arange(nk))
+        )
+    return tuple(groups)
+
+
+def _packed(
+    x_codes: np.ndarray, tokens: Union[AttentionRows, np.ndarray, None]
+) -> Tuple[np.ndarray, AttentionRows, Optional[Tuple[int, ...]]]:
+    """Normalize a layer's input to packed rows.
+
+    Packed ``(tokens, hidden)`` codes come with their :class:`AttentionRows`
+    and pass through.  Padded ``(batch, seq, hidden)`` codes come with a
+    0/1 ``(batch, seq)`` mask (``None``: every token valid); they become
+    one packed row per position, every position computed, and the padded
+    shape is returned to restore the output.
+    """
+    if isinstance(tokens, AttentionRows):
+        return x_codes, tokens, None
+    batch, seq, hidden = x_codes.shape
+    mask = np.ones((batch, seq), dtype=bool) if tokens is None else tokens
+    return x_codes.reshape(-1, hidden), TokenRows.build(mask, None).inner, x_codes.shape
+
+
 @dataclass
 class IntegerSelfAttention:
     """Integer multi-head attention with LUT softmax.
@@ -285,32 +429,43 @@ class IntegerSelfAttention:
     context_scale: float
 
     def forward(
-        self, x_codes: np.ndarray, attention_mask: Optional[np.ndarray]
+        self, x_codes: np.ndarray, tokens: Union[AttentionRows, np.ndarray, None]
     ) -> np.ndarray:
-        """Batched attention over all heads and rows at once.
+        """Attention over packed token rows, one block per sequence group.
+
+        Q/K/V run once over the packed rows.  Each group of equal-shaped
+        sequences then runs scores, the LUT softmax and the context over
+        its own valid keys only, which is what the paper's controller
+        streams (padded keys never reach the softmax core).
 
         Args:
-            x_codes: Integer hidden codes, shape ``(batch, seq, hidden)``.
-            attention_mask: Optional 0/1 validity mask, ``(batch, seq)``.
+            x_codes: Packed ``(tokens, hidden)`` codes, or padded
+                ``(batch, seq, hidden)`` codes.
+            tokens: The packed codes' :class:`AttentionRows`, or the padded
+                codes' 0/1 ``(batch, seq)`` mask (``None``: all valid).
 
         Returns:
-            Context codes, shape ``(batch, seq, hidden)``.
+            Context codes of the query rows, ``(queries, hidden)``, or
+            ``(batch, seq, hidden)`` for a padded input.
         """
-        q = _split_heads_np(self.query.forward(x_codes), self.num_heads)
-        k = _split_heads_np(self.key.forward(x_codes), self.num_heads)
-        v = _split_heads_np(self.value.forward(x_codes), self.num_heads)
+        x_codes, rows, padded_shape = _packed(x_codes, tokens)
+        kv_in = x_codes if rows.key_rows is None else x_codes[rows.key_rows]
+        q_in = x_codes if rows.query_rows is None else x_codes[rows.query_rows]
+        q = self.query.forward(q_in)
+        k = self.key.forward(kv_in)
+        v = self.value.forward(kv_in)
 
-        score_acc = exact_matmul(q, k.swapaxes(-1, -2))
-        score_codes = self.score_requant.requantize(score_acc, ACT_BITS)
-
-        mask = attention_mask[:, None, None, :] if attention_mask is not None else None
-        prob_codes, _ = quantized_softmax(
-            score_codes, self.score_scale, lut=self.exp_lut, mask=mask
-        )
-
-        context_acc = exact_matmul(prob_codes, v)
-        context_codes = self.context_requant.requantize(context_acc, ACT_BITS)
-        return _merge_heads_np(context_codes)
+        out = np.empty(q.shape, dtype=np.float32)  # 8-bit codes are exact
+        for queries, keys in rows.groups:
+            q_g = _split_heads_np(q[queries], self.num_heads)
+            k_g = _split_heads_np(k[keys], self.num_heads)
+            score_acc = exact_matmul(q_g, k_g.swapaxes(-1, -2))
+            score_codes = self.score_requant.requantize(score_acc, ACT_BITS)
+            prob_codes, _ = quantized_softmax(score_codes, self.score_scale, lut=self.exp_lut)
+            context_acc = exact_matmul(prob_codes, _split_heads_np(v[keys], self.num_heads))
+            context_codes = self.context_requant.requantize(context_acc, ACT_BITS)
+            out[queries] = _merge_heads_np(context_codes)
+        return out if padded_shape is None else out.reshape(padded_shape)
 
 
 @dataclass
@@ -326,20 +481,33 @@ class IntegerBertLayer:
     output_layernorm: object
 
     def forward(
-        self, x_codes: np.ndarray, attention_mask: Optional[np.ndarray]
+        self, x_codes: np.ndarray, tokens: Union[AttentionRows, np.ndarray, None]
     ) -> np.ndarray:
-        context = self.attention.forward(x_codes, attention_mask)
+        """The layer over packed token rows (or a padded batch and its mask).
+
+        Attention reads the key rows; every other operator runs on the
+        query rows only.  Arguments and result are as for
+        :meth:`IntegerSelfAttention.forward`.
+        """
+        x_codes, rows, padded_shape = _packed(x_codes, tokens)
+        context = self.attention.forward(x_codes, rows)
+        residual = x_codes if rows.query_rows is None else x_codes[rows.query_rows]
         projected = self.attention_output.forward(context)
-        attended = self.attention_layernorm.forward(projected, x_codes)
+        attended = self.attention_layernorm.forward(projected, residual)
 
         intermediate = self.ffn1.forward(attended)
         activated = self.gelu.forward(intermediate)
         ffn_out = self.ffn2.forward(activated)
-        return self.output_layernorm.forward(ffn_out, attended)
+        out = self.output_layernorm.forward(ffn_out, attended)
+        return out if padded_shape is None else out.reshape(padded_shape)
 
 
 class IntegerBertForSequenceClassification:
     """End-to-end integer FQ-BERT: host embedding -> integer encoder -> host head."""
+
+    # The encoder output positions the host head reads: every head_fn
+    # (the converted pooler and the synthetic stand-in) pools [CLS].
+    head_rows: Tuple[int, ...] = (0,)
 
     def __init__(
         self,
@@ -360,12 +528,54 @@ class IntegerBertForSequenceClassification:
         input_ids: np.ndarray,
         attention_mask: Optional[np.ndarray] = None,
         token_type_ids: Optional[np.ndarray] = None,
+        rows: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """Run host embedding + the integer encoder; return final int64 codes."""
-        codes = self._embed_fn(input_ids, token_type_ids)
-        for layer in self.layers:
-            codes = layer.forward(codes, attention_mask)
-        return codes.astype(np.int64, copy=False)
+        """Run host embedding + the integer encoder; return final int64 codes.
+
+        Only the tokens the result depends on are computed (see
+        :class:`TokenRows`): the valid tokens, and in the last layer only
+        the requested rows.  Codes are exact integers, so every returned
+        row is bit-identical to a padded full-batch pass.
+
+        Args:
+            input_ids: Token ids, ``(batch, seq)``.
+            attention_mask: 0/1 validity mask, ``(batch, seq)``; ``None``
+                means every token is valid.
+            token_type_ids: Optional segment ids, ``(batch, seq)``.
+            rows: Output positions to return for every sequence (e.g.
+                :attr:`head_rows`), or ``None`` for all ``seq`` positions,
+                pad positions included.
+
+        Returns:
+            int64 codes of shape ``(batch, seq, hidden)``, or
+            ``(batch, len(rows), hidden)`` when ``rows`` is given.
+
+        Raises:
+            ValueError: The mask's shape differs from the ids', a mask row
+                has no valid token, or a row is out of range.
+        """
+        input_ids = np.asarray(input_ids)
+        if attention_mask is None:
+            attention_mask = np.ones(input_ids.shape, dtype=bool)
+        elif np.shape(attention_mask) != input_ids.shape:
+            raise ValueError(
+                f"attention_mask shape {np.shape(attention_mask)} != "
+                f"input_ids shape {input_ids.shape}"
+            )
+        plan = TokenRows.build(attention_mask, rows)
+        if token_type_ids is not None:
+            token_type_ids = np.asarray(token_type_ids)[:, : plan.width]
+        codes = self._embed_fn(input_ids[:, : plan.width], token_type_ids)
+        codes = codes.reshape(-1, codes.shape[-1])
+        if plan.gather is not None:
+            codes = codes[plan.gather]
+        for layer in self.layers[:-1]:
+            codes = layer.forward(codes, plan.inner)
+        if self.layers:
+            codes = self.layers[-1].forward(codes, plan.last)
+        elif plan.last.query_rows is not None:
+            codes = codes[plan.last.query_rows]
+        return codes.astype(np.int64, copy=False).reshape(plan.out_shape + (-1,))
 
     def classify(self, codes: np.ndarray) -> np.ndarray:
         """Host-side head on final encoder codes: dequantize, pool, classify.
@@ -382,7 +592,10 @@ class IntegerBertForSequenceClassification:
         """Run the float host head independently on each encoder row.
 
         Args:
-            codes: Final encoder codes, shape ``(batch, seq, hidden)``.
+            codes: Final encoder codes, shape ``(batch, rows, hidden)``:
+                every position, or just :attr:`head_rows` (the rows the
+                head reads) as ``encode(..., rows=model.head_rows)``
+                returns them.
 
         Returns:
             Logits of shape ``(batch, num_labels)``; row ``i`` is
@@ -414,7 +627,8 @@ class IntegerBertForSequenceClassification:
         memory (attention is O(seq^2) per row) and its exact integer
         arithmetic makes the codes bit-identical under any chunking.  The
         (tiny) float head then runs once over all rows, so chunked and
-        unchunked calls return bit-identical logits.
+        unchunked calls return bit-identical logits.  The encoder returns
+        only :attr:`head_rows`, all the head reads.
         """
         if chunk_size is not None:
             if chunk_size < 1:
@@ -428,11 +642,12 @@ class IntegerBertForSequenceClassification:
                         input_ids[start:stop],
                         None if attention_mask is None else attention_mask[start:stop],
                         None if token_type_ids is None else token_type_ids[start:stop],
+                        rows=self.head_rows,
                     )
                 )
             codes = np.concatenate(pieces, axis=0)
         else:
-            codes = self.encode(input_ids, attention_mask, token_type_ids)
+            codes = self.encode(input_ids, attention_mask, token_type_ids, rows=self.head_rows)
         return self.classify(codes)
 
     def predict(
@@ -535,8 +750,10 @@ def convert_to_integer(
 ) -> IntegerBertForSequenceClassification:
     """Freeze a trained FQ-BERT into the integer-only engine.
 
-    Requires activation quantization to have been enabled during QAT (the
-    engine needs a frozen scale at every buffer point).
+    Requires activation quantization to have been enabled during QAT, and
+    every activation quantizer to have observed data (the engine needs a
+    frozen scale at every buffer point); the error names the first
+    quantizer, by module path, that has not.
 
     Lookup tables depend only on their scales, so each distinct exp/GELU
     table is built once and *shared by reference* across layers with equal
@@ -550,6 +767,12 @@ def convert_to_integer(
             "integer conversion requires quantize_activations=True "
             "(every buffer point needs a frozen scale)"
         )
+    for name, module in qmodel.named_modules():
+        if isinstance(module, FakeQuantize) and not module.observer.initialized:
+            raise RuntimeError(
+                f"activation quantizer {name} has seen no data; run the model "
+                "forward (QAT or calibration) before integer conversion"
+            )
     qmodel.eval()
     config = qmodel.config
 

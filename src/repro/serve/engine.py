@@ -16,11 +16,12 @@ Request lifecycle::
                  ->  RequestResult (logits, timing, SLO)
 
 Bit-exactness contract: the integer encoder is exact integer arithmetic,
-invariant to batch composition and (because attention masking excludes
-padded keys and the head reads only the [CLS] row) to padded length; the
-float host head runs per row.  Engine logits are therefore bit-identical
-to one-at-a-time ``model.forward`` on the same encodings — the property
-``tests/serve/test_engine.py`` locks in.
+invariant to batch composition and to padded length (attention reads only
+each sequence's valid tokens as keys); it computes only those tokens, and
+in its last layer only the rows the head reads (the model's
+``head_rows``, the [CLS] row).  The float host head runs per row.  Engine
+logits are therefore bit-identical to one-at-a-time ``model.forward`` on
+the same encodings — the property ``tests/serve/test_engine.py`` locks in.
 
 Latency-only ("analytic") mode: with ``ServingConfig(analytic=True)`` the
 engine skips the model forward entirely and prices each batch purely from
@@ -363,10 +364,11 @@ class ServingEngine:
         duplicate rows.  The integer encoder is row-independent (exact
         arithmetic, batch-invariant), so each distinct encoding runs once
         and its logits fan back out to every duplicate — bit-identical to
-        running the full batch, at a fraction of the compute.  Simulated
-        device timing still models the full flushed batch (the padded
-        shape the accelerator would execute), so dedup never changes the
-        latency accounting, only host compute.
+        running the full batch, at a fraction of the compute.  The host
+        encoder skips pad tokens and computes only the head's rows in its
+        last layer.  Simulated device timing still models the full flushed
+        batch (the padded shape the accelerator would execute), so neither
+        dedup nor packing changes the latency accounting, only host compute.
 
         In analytic mode the model forward is skipped entirely: every
         number below except the logits/prediction comes from the batch
@@ -391,9 +393,10 @@ class ServingEngine:
             mask = np.stack([r.encoding.attention_mask[:bucket] for r in distinct])
             segments = np.stack([r.encoding.token_type_ids[:bucket] for r in distinct])
 
-            # Batched integer encoder (exact arithmetic, batch-invariant) then
+            # Batched integer encoder (exact arithmetic, batch-invariant) over
+            # the valid tokens, returning only the rows the head reads, then
             # the float host head per row — see the module docstring's contract.
-            codes = self.model.encode(input_ids, mask, segments)
+            codes = self.model.encode(input_ids, mask, segments, rows=self.model.head_rows)
             logits = self.model.classify_rows(codes)[rows]
 
         dispatch = self.router.dispatch(bucket, batch.size, ready_ms=batch.flush_ms)

@@ -1,5 +1,7 @@
 """Integer-only inference engine: agreement with the QAT model (Eq. 5 realized)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.quant import (
 )
 from repro.quant.fixedpoint import FixedPointMultiplier
 from repro.quant.integer_model import IntegerLayerNorm, LN_FRAC_BITS
+from repro.quant.observer import EMAObserver
 from repro.quant.qat import QuantLinear
 
 
@@ -206,4 +209,13 @@ class TestEndToEndAgreement:
             config, QuantConfig.figure3(weight_bits=4, clip=True), rng=rng
         )
         with pytest.raises(ValueError):
+            convert_to_integer(model)
+
+    def test_uncalibrated_quantizer_is_named(self, calibrated_pair):
+        model = copy.deepcopy(calibrated_pair[0])
+        quantizer = model.encoder.layers[1].feed_forward.gelu_quantizer
+        quantizer.observer = EMAObserver()
+        with pytest.raises(
+            RuntimeError, match=r"encoder\.layers\.1\.feed_forward\.gelu_quantizer has seen no data"
+        ):
             convert_to_integer(model)
