@@ -8,8 +8,8 @@ Subcommands::
     python -m repro.cli simulate  --device ZCU102 --pes 8 --multipliers 16
     python -m repro.cli compare   # Table IV style platform comparison
     python -m repro.cli serve     --requests 64 --batch-size 8 --num-devices 2
-    python -m repro.cli loadtest  --scenario flash-crowd --replicas 2 [--autoscale] [--analytic]
-    python -m repro.cli loadtest  --scenario flash-crowd --columnar --shards 4 --rate-scale 640
+    python -m repro.cli loadtest  --scenario flash-crowd --replicas 2 [--autoscale] [--engine analytic]
+    python -m repro.cli loadtest  --scenario flash-crowd --engine columnar --shards 4 --rate-scale 640
     python -m repro.cli loadtest  --scenario flash-crowd --metrics-out m.prom --trace-out t.json --windows w.jsonl
     python -m repro.cli loadtest  --scenario flash-crowd --chaos-plan plan.json --retries 2 --breaker --brownout
     python -m repro.cli metrics   --prom m.prom [--windows w.jsonl] [--trace t.json]
@@ -330,8 +330,9 @@ def cmd_loadtest(args) -> int:
     accelerator replicas serving a frozen synthetic integer model (no
     training — the subject is fleet dynamics, and the synthetic model is
     bit-deterministic).  Same seed, byte-identical report — including
-    under ``--analytic``, which skips the model forwards entirely and
-    reports identical timing at a fraction of the cost.
+    under ``--engine analytic``, which skips the model forwards entirely
+    and reports identical timing at a fraction of the cost, and under
+    ``--engine columnar``, which runs the same simulation over columns.
     """
     from .accel import AcceleratorConfig, FPGA_DEVICES
     from .fleet import (
@@ -420,8 +421,11 @@ def cmd_loadtest(args) -> int:
 
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    if (args.shards > 1 or args.shard_procs) and not args.columnar:
-        raise SystemExit("--shards/--shard-procs require --columnar")
+    if args.shards > 1 and args.engine != "columnar":
+        raise SystemExit(
+            f"--shards {args.shards} needs --engine columnar "
+            f"(got --engine {args.engine})"
+        )
 
     obs_requested = bool(args.metrics_out or args.trace_out or args.windows)
     if obs_requested and len(names) != 1:
@@ -450,7 +454,7 @@ def cmd_loadtest(args) -> int:
                 window_ms=args.window_ms, windows_stream=windows_stream
             )
         for name in names:
-            if args.columnar:
+            if args.engine == "columnar":
                 report = run_scenario_columnar(
                     name,
                     model,
@@ -463,7 +467,6 @@ def cmd_loadtest(args) -> int:
                     rate_scale=args.rate_scale,
                     duration_scale=args.duration_scale,
                     shards=args.shards,
-                    shard_processes=args.shard_procs,
                     obs=obs,
                     chaos=chaos,
                     resilience=resilience,
@@ -480,7 +483,7 @@ def cmd_loadtest(args) -> int:
                     seed=args.seed,
                     rate_scale=args.rate_scale,
                     duration_scale=args.duration_scale,
-                    analytic=args.analytic,
+                    analytic=args.engine == "analytic",
                     obs=obs,
                     chaos=chaos,
                     resilience=resilience,
@@ -970,27 +973,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="stretch the scenario duration (and its burst windows) in time",
     )
     loadtest.add_argument(
-        "--analytic", action="store_true",
-        help="latency-only execution: skip model forwards, keep the exact "
-        "simulator timing (byte-identical report, orders of magnitude "
-        "faster — the mode for million-request traces)",
-    )
-    loadtest.add_argument(
-        "--columnar", action="store_true",
-        help="run the columnar analytic engine: the same simulation over "
-        "numpy columns and memoized price tables (byte-identical report, "
-        "another order of magnitude over --analytic — the mode for "
-        "100M-request traces)",
+        "--engine", choices=("executed", "analytic", "columnar"),
+        default="executed",
+        help="executed runs the model forwards; analytic skips them and "
+        "keeps the exact simulator timing (orders of magnitude faster — "
+        "the mode for million-request traces); columnar runs the same "
+        "simulation over numpy columns and memoized price tables (another "
+        "order of magnitude — the mode for 100M-request traces).  Every "
+        "engine gives a byte-identical report",
     )
     loadtest.add_argument(
         "--shards", type=int, default=1,
-        help="with --columnar: split the run into this many deterministic "
-        "time windows (any count gives byte-identical reports)",
-    )
-    loadtest.add_argument(
-        "--shard-procs", action="store_true",
-        help="with --columnar: run each shard window in a forked "
-        "subprocess (state crosses via pickle; same bytes)",
+        help="with --engine columnar: split the run into this many "
+        "deterministic time windows, run in turn (any count gives "
+        "byte-identical reports)",
     )
     loadtest.add_argument("--json", help="also write the report as JSON here")
     loadtest.add_argument(

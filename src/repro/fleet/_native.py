@@ -23,7 +23,7 @@ a property the differential tests assert rather than assume.
 The kernel keeps no state of its own: replica queues, breakers, the
 brownout ladder, the retry budget and heap and hedged pairs live in
 arrays the engine owns, one row per replica ever added, which each call
-updates in place, so a run can stop at any control event, pickle its
+updates in place, so a run can stop at any control event, hand its
 state across a shard boundary and go on.  It can log every
 flush (replica id, bucket, size, start, service, finish, offset of
 its completions) plus each completion's enqueue time, and every final

@@ -498,10 +498,10 @@ class CircuitBreaker:
     moves it to *half-open* and the next ``probes`` batches decide —
     any straggle reopens, all clean closes.
 
-    Plain picklable state of the event loop; the columnar engine keeps
+    Plain state of the event loop; the columnar engine keeps
     the same fields in its C kernel's arrays (which replay
-    :meth:`allows` and :meth:`observe` exactly) and its shard-state
-    pickle carries them.  All comparisons are on floats both engines
+    :meth:`allows` and :meth:`observe` exactly) and its shard state
+    carries them.  All comparisons are on floats both engines
     already share byte-identically.
     """
 

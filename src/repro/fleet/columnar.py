@@ -42,15 +42,15 @@ has the same operands in the same order, reports are *byte-identical* to
 the event-loop analytic (and therefore executed) mode — a property the
 differential test suite asserts across every scenario class.
 
-**Sharding.** A trace can be split on time boundaries into shards that
-run independently and hand a compact, picklable
-:class:`ColumnarFleetState` from one to the next; each shard emits a
-:class:`ShardPartial` (its completions and sheds), and
-:func:`merge_shard_partials` scatters them into the final columns.  The
-split points are pure checkpoints of the same globally ordered event
-sequence, so any shard count — and running each shard in a forked
-subprocess — produces the same bytes, which the property tests check
-for shard counts 1, 2, 5, and 7.
+**Sharding.** A trace can be split on time boundaries into shard
+windows that run in turn and hand a compact :class:`ColumnarFleetState`
+from one to the next; each window emits a :class:`ShardPartial` (its
+completions and sheds), and :func:`merge_shard_partials` scatters them
+into the final columns.  Window k+1 starts from window k's final state,
+so the windows are sequential: the split points are pure checkpoints of
+the same globally ordered event sequence, and any shard count produces
+the same bytes, which the property tests check for shard counts 1, 2,
+5, and 7.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import traceback
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -185,7 +184,7 @@ class _Rows(NamedTuple):
 
 @dataclass
 class ColumnarFleetState:
-    """Everything a shard hands to the next one (compact, picklable).
+    """Everything a shard window hands to the next one (compact).
 
     The serving state is the C kernel's own packed buffers (layouts in
     :mod:`repro.fleet._native`): one row per replica ever added, by
@@ -1326,76 +1325,6 @@ def shard_windows(
     return windows
 
 
-_WORKER_CTX: Optional[tuple] = None
-
-
-def _window_worker(conn, window_index: int) -> None:
-    """Run one window; send its result, or the formatted traceback."""
-    try:
-        engine, state, windows = _WORKER_CTX
-        alo, ahi, events = windows[window_index]
-        partial = engine.run_window(state, alo, ahi, events)
-        # Observability state crosses the fork like ShardPartial does: the
-        # worker drains its live buffers into a picklable partial; the
-        # parent absorbs.  (The parent drained its own live buffers before
-        # forking, so this partial holds exactly this window's records.)
-        obs_partial = engine.obs.take_partial() if engine.obs is not None else None
-        message = (partial, state, obs_partial)
-    except Exception:
-        message = traceback.format_exc()
-    conn.send(message)
-    conn.close()
-
-
-def _run_windows_in_processes(engine, state, windows):
-    """Run each window in its own forked worker, state handed via pickle.
-
-    Sequential by construction — window k+1 needs window k's final state —
-    so this demonstrates cross-process determinism (each worker computes
-    in a fresh address space) rather than parallel speedup.
-    """
-    import multiprocessing
-
-    global _WORKER_CTX
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = None
-    if ctx is None:
-        partials = [
-            engine.run_window(state, alo, ahi, events)
-            for alo, ahi, events in windows
-        ]
-        return partials, state
-    if engine.obs is not None:
-        # Park any pre-fork records (initial replica metadata) in the
-        # master store so no child re-ships them.
-        engine.obs.absorb(engine.obs.take_partial())
-    partials = []
-    for k in range(len(windows)):
-        _WORKER_CTX = (engine, state, windows)
-        parent, child = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_window_worker, args=(child, k))
-        proc.start()
-        child.close()
-        try:
-            message = parent.recv()
-        except EOFError:  # the worker died before it could send anything
-            message = None
-        parent.close()
-        proc.join()
-        _WORKER_CTX = None
-        if not isinstance(message, tuple) or proc.exitcode != 0:
-            if not isinstance(message, str):
-                message = f"exit code {proc.exitcode}"
-            raise RuntimeError(f"shard worker {k} failed: {message}")
-        partial, state, obs_partial = message
-        if obs_partial is not None:
-            engine.obs.absorb(obs_partial)
-        partials.append(partial)
-    return partials, state
-
-
 def _kernel_wanted(native: Optional[bool]) -> bool:
     """Whether a run takes the C kernel (else the analytic event loop).
 
@@ -1438,7 +1367,6 @@ def run_scenario_columnar(
     rate_scale: float = 1.0,
     duration_scale: float = 1.0,
     shards: int = 1,
-    shard_processes: bool = False,
     native: Optional[bool] = None,
     obs=None,
     chaos: Optional[ChaosPlan] = None,
@@ -1470,10 +1398,8 @@ def run_scenario_columnar(
         seed: Trace seed (ignored for pre-built traces).
         rate_scale: Rate multiplier for scenario generation.
         duration_scale: Duration multiplier for scenario generation.
-        shards: Split the run into this many deterministic time windows.
-        shard_processes: Run each window in a forked subprocess (state
-            crosses via pickle; sequential, determinism demo — see
-            ``docs/scaling.md``).
+        shards: Split the run into this many deterministic time windows,
+            run in turn in this process.
         native: ``True`` requires the C kernel, ``False`` runs the
             analytic event loop.  ``None`` reads ``REPRO_COLUMNAR_NATIVE``
             (``1`` requires, ``0`` turns the kernel off) and otherwise
@@ -1535,26 +1461,23 @@ def run_scenario_columnar(
     engine = ColumnarFleetEngine(prep, obs=obs)
     state = engine.initial_state()
     windows = shard_windows(prep, shards)
-    if shard_processes:
-        partials, state = _run_windows_in_processes(engine, state, windows)
-    else:
-        partials = []
-        for k, (alo, ahi, events) in enumerate(windows):
-            partials.append(engine.run_window(state, alo, ahi, events))
-            if obs is not None and k + 1 < len(windows):
-                # Stream closed windows at each shard edge.  The watermark
-                # backs off to the earliest pending batching deadline:
-                # a queue carried across the boundary may still flush
-                # (and finish) before the edge itself.
-                edge = prep.duration_ms * (k + 1) / shards
-                next_dl = state.next_dl
-                pending = next_dl[np.isfinite(next_dl)].tolist()
-                if state.iv[I_HEAP]:
-                    # A scheduled retry may still shed (or admit work
-                    # that flushes) at its due instant — hold the
-                    # watermark back to it.
-                    pending.append(float(state.h_due[0]))
-                obs.advance(min([edge] + pending))
+    partials = []
+    for k, (alo, ahi, events) in enumerate(windows):
+        partials.append(engine.run_window(state, alo, ahi, events))
+        if obs is not None and k + 1 < len(windows):
+            # Stream closed windows at each shard edge.  The watermark
+            # backs off to the earliest pending batching deadline: a
+            # queue carried across the boundary may still flush (and
+            # finish) before the edge itself.
+            edge = prep.duration_ms * (k + 1) / shards
+            next_dl = state.next_dl
+            pending = next_dl[np.isfinite(next_dl)].tolist()
+            if state.iv[I_HEAP]:
+                # A scheduled retry may still shed (or admit work that
+                # flushes) at its due instant — hold the watermark back
+                # to it.
+                pending.append(float(state.h_due[0]))
+            obs.advance(min([edge] + pending))
     if state.iv[I_HEAP]:
         partials.append(engine.drain_retries(state))
     partials.append(engine.drain(state))

@@ -14,8 +14,7 @@ JSONL, and Chrome trace.
 - :mod:`windows` — rolling-window JSONL streams: windowed p99, goodput,
   shed rate, queue depth, autoscaler and failure events
 - :mod:`observer` — :class:`FleetObserver`, the sink threaded through the
-  engines' instrumentation seams, with ``ShardPartial``-style merge for
-  forked columnar shards
+  engines' instrumentation seams
 - :mod:`analysis` — the reading side: burn-rate SLO alerting evaluated
   inside the run, mergeable quantile sketches, critical-path and
   run-diff attribution over the emitted artifacts
@@ -35,7 +34,7 @@ from .analysis import (
     render_diff,
     render_report,
 )
-from .observer import FleetObserver, NullObserver, ObsPartial
+from .observer import FleetObserver, NullObserver
 from .registry import (
     Counter,
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -57,7 +56,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullObserver",
-    "ObsPartial",
     "QuantileSketch",
     "RunArtifacts",
     "Tracer",

@@ -19,10 +19,9 @@ Evaluation happens **inside the run** on the simulated clock: the
 observer feeds every closed window (empty ones included) to
 :class:`AlertEvaluator`, transitions become trace instants at the
 window's ``end_ms``, and the final state lands in the
-``repro_alerts_firing`` gauge.  Because the columnar fork path only ever
-closes windows in the parent process, the evaluator state rides the
-observer partial across the shard pickle untouched — byte-equality
-across shard counts follows from window-stream equality.
+``repro_alerts_firing`` gauge.  One evaluator sees every closed window
+of a run, at any shard count, so byte-equality across shard counts
+follows from window-stream equality.
 
 :func:`replay_windows` re-runs the same evaluator offline over a windows
 JSONL artifact (the ``repro.cli obs alerts`` command), and the test suite
@@ -176,10 +175,9 @@ class AlertEvaluator:
 
     Feed every closed window in order via :meth:`observe_window`; read
     :attr:`transitions` (the full fire/resolve history) and
-    :meth:`firing` (current state per rule) at any point.  The object is
-    picklable — it rides the observer partial across the columnar shard
-    boundary — and deterministic: identical window streams produce
-    identical transition histories.
+    :meth:`firing` (current state per rule) at any point.  It is
+    deterministic: identical window streams produce identical transition
+    histories.
     """
 
     def __init__(self, policy: Optional[Sequence[BurnRateRule]] = None):

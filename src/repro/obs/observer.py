@@ -17,19 +17,15 @@ Two contracts, both enforced by ``tests/obs/test_differential.py``:
    JSONL, and trace JSON are byte-identical across engines, at any shard
    count.
 
-Shard-partial transport mirrors the columnar engine's ``ShardPartial``:
-forked shard workers call :meth:`FleetObserver.take_partial` (draining
-their live buffers into a picklable payload) and the parent
-:meth:`absorbs <FleetObserver.absorb>` them, merging window accumulators
-by index and concatenating trace events and batch-span column chunks.
-The disabled path is ``obs is None`` (or the falsy
-:class:`NullObserver`) — zero work on the hot loop.
+A columnar run's shard windows all record into this one observer, in
+turn, so its state never needs merging.  The disabled path is
+``obs is None`` (or the falsy :class:`NullObserver`) — zero work on the
+hot loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -37,34 +33,14 @@ from .analysis.alerts import AlertEvaluator, BurnRateRule
 from .analysis.sketch import QuantileSketch, _slot_edges
 from .registry import MetricsRegistry
 from .tracing import Tracer, span_trace_json
-from .windows import WindowTracker, _Win
+from .windows import WindowTracker
 
-__all__ = ["FleetObserver", "NullObserver", "ObsPartial"]
+__all__ = ["FleetObserver", "NullObserver"]
 
 # Batch-span columns, in FleetObserver.on_batch's tuple order: replica,
 # bucket, size, start_ms, service_ms, wl, wr, wb, wq.
 _SPAN_DTYPES = (np.int64,) * 3 + (np.float64,) * 6
 _NO_SPANS = tuple(np.empty(0, dtype) for dtype in _SPAN_DTYPES)
-
-
-@dataclass
-class ObsPartial:
-    """Picklable slice of observer state from one shard worker."""
-
-    windows: Dict[int, _Win] = field(default_factory=dict)
-    trace_events: List[dict] = field(default_factory=list)
-    # batch spans as column chunks (see _SPAN_DTYPES), in recording order
-    batch_spans: List[tuple] = field(default_factory=list)
-    # earliest replica failure this shard observed (None = none) — the
-    # parent folds these with min() for the MTTR gauge
-    first_failure_ms: Optional[float] = None
-    # window-close-derived state: the run-level latency sketch merges, the
-    # alert evaluator is adopted whole (it is sequential per-window state
-    # — only the side that actually closed windows has any; window closes
-    # happen exclusively in the parent process, so shipping it keeps the
-    # alert stream byte-identical at every shard count by construction)
-    run_sketch: QuantileSketch = field(default_factory=QuantileSketch)
-    alerts: Optional[AlertEvaluator] = None
 
 
 class FleetObserver:
@@ -88,12 +64,6 @@ class FleetObserver:
             stream=windows_stream,
             on_close=self._on_window_close,
         )
-        # Absorbed trace events and span chunks live apart from the live
-        # buffers: a forked shard child inherits these master lists but
-        # only ships what *it* recorded (take_partial drains the live
-        # buffers alone), so nothing is double-counted across forks.
-        self._trace_master: List[dict] = []
-        self._span_master: List[tuple] = []
         # Batch spans — the hottest trace stream by far — never become
         # trace-event dicts: they stay numeric column chunks, in the
         # order they were recorded, and span_trace_json renders the trace
@@ -269,47 +239,6 @@ class FleetObserver:
         """
 
         self.windows.flush(watermark_ms)
-
-    def take_partial(self) -> ObsPartial:
-        """Drain live buffers into a picklable partial (shard workers)."""
-
-        self._seal_rows()
-        spans, self._span_chunks = self._span_chunks, []
-        first_failure, self._first_failure_ms = self._first_failure_ms, None
-        run_sketch, self._run_sketch = self._run_sketch, QuantileSketch()
-        alerts, self.alerts = self.alerts, AlertEvaluator(
-            policy=self.alerts.rules
-        )
-        return ObsPartial(
-            windows=self.windows.take(),
-            trace_events=self.tracer.take(),
-            batch_spans=spans,
-            first_failure_ms=first_failure,
-            run_sketch=run_sketch,
-            alerts=alerts,
-        )
-
-    def absorb(self, partial: ObsPartial) -> None:
-        """Merge a shard worker's partial, mirroring ``merge_shard_partials``."""
-
-        self.windows.absorb(partial.windows)
-        self._trace_master.extend(partial.trace_events)
-        self._span_master.extend(partial.batch_spans)
-        t = partial.first_failure_ms
-        if t is not None and (
-            self._first_failure_ms is None or t < self._first_failure_ms
-        ):
-            self._first_failure_ms = t
-        self._run_sketch = self._run_sketch.merge(partial.run_sketch)
-        # The alert evaluator is sequential window state, not a mergeable
-        # delta: adopt whichever side has actually seen windows.  Shard
-        # children never close windows (only the parent flushes), so at
-        # most one side is ever non-empty.
-        if (
-            partial.alerts is not None
-            and partial.alerts.windows_seen > self.alerts.windows_seen
-        ):
-            self.alerts = partial.alerts
 
     def finalize(self, report) -> None:
         """Flush remaining windows and fill the registry from the report.
@@ -565,13 +494,13 @@ class FleetObserver:
 
     def trace_json(self) -> str:
         self._seal_rows()
-        chunks = [_NO_SPANS, *self._span_master, *self._span_chunks]
+        chunks = [_NO_SPANS, *self._span_chunks]
         replica, bucket, size, start, service, wl, wr, wb, wq = (
             np.concatenate(parts, dtype=dtype)
             for parts, dtype in zip(zip(*chunks), _SPAN_DTYPES)
         )
         return span_trace_json(
-            self._trace_master + self.tracer.events, "batch", replica,
+            self.tracer.events, "batch", replica,
             start, service,
             {"bucket": bucket, "size": size, "wl": wl, "wr": wr, "wb": wb, "wq": wq},
         )

@@ -133,17 +133,6 @@ class Tracer:
         )
 
     # ------------------------------------------------------------------
-    # shard-partial plumbing (mirrors ShardPartial merge in the columnar
-    # engine: children drain their buffers, the parent absorbs)
-    # ------------------------------------------------------------------
-    def take(self) -> List[Dict]:
-        events, self.events = self.events, []
-        return events
-
-    def absorb(self, events: List[Dict]) -> None:
-        self.events.extend(events)
-
-    # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
     def to_chrome(self) -> Dict:

@@ -35,7 +35,7 @@ __all__ = ["WindowTracker"]
 
 @dataclass
 class _Win:
-    """Accumulator for one window; picklable for shard-partial transport."""
+    """Accumulator for one window."""
 
     arrivals: int = 0
     completions: int = 0
@@ -46,18 +46,6 @@ class _Win:
     scale_down: int = 0
     failures: int = 0
     recoveries: int = 0
-
-    def merge(self, other: "_Win") -> None:
-        self.arrivals += other.arrivals
-        self.completions += other.completions
-        self.slo_met += other.slo_met
-        for reason, count in other.shed.items():
-            self.shed[reason] = self.shed.get(reason, 0) + count
-        self.latencies.extend(other.latencies)
-        self.scale_up += other.scale_up
-        self.scale_down += other.scale_down
-        self.failures += other.failures
-        self.recoveries += other.recoveries
 
 
 class WindowTracker:
@@ -72,8 +60,7 @@ class WindowTracker:
         self.on_close = on_close
         self._closed: List[tuple] = []  # flushed, not yet rendered to JSON
         self._lines: List[str] = []
-        self._live: Dict[int, _Win] = {}
-        self._master: Dict[int, _Win] = {}
+        self._live: Dict[int, _Win] = {}  # by index, not yet flushed
         self._next_flush = 0
         self._depth = 0  # admitted-but-unfinished carry across windows
         # (index, goodput_rps) per closed window, in flush order — the
@@ -81,7 +68,7 @@ class WindowTracker:
         self.goodput_series: List[tuple] = []
 
     # ------------------------------------------------------------------
-    # recording (always into the live buffer)
+    # recording
     # ------------------------------------------------------------------
     def _win(self, t_ms: float) -> _Win:
         index = int(t_ms / self.window_ms)
@@ -211,38 +198,11 @@ class WindowTracker:
         self._win(t_ms).recoveries += 1
 
     # ------------------------------------------------------------------
-    # shard-partial plumbing
-    # ------------------------------------------------------------------
-    def take(self) -> Dict[int, _Win]:
-        """Drain the live buffer (picklable; ships across a shard fork)."""
-
-        live, self._live = self._live, {}
-        return live
-
-    def absorb(self, partial: Dict[int, _Win]) -> None:
-        """Merge a drained buffer into the master state (counts add,
-        latency lists concatenate; order is irrelevant post-sort)."""
-
-        for index, win in partial.items():
-            mine = self._master.get(index)
-            if mine is None:
-                self._master[index] = win
-            else:
-                mine.merge(win)
-
-    def _drain_live(self) -> None:
-        if self._live:
-            self.absorb(self.take())
-
-    # ------------------------------------------------------------------
     # flushing
     # ------------------------------------------------------------------
     def flush(self, watermark_ms: float) -> None:
         """Close every window ending at or before ``watermark_ms``."""
 
-        if (self._next_flush + 1) * self.window_ms > watermark_ms:
-            return  # nothing to close — skip the live-buffer drain too
-        self._drain_live()
         while (self._next_flush + 1) * self.window_ms <= watermark_ms:
             self._flush_one(self._next_flush)
 
@@ -257,10 +217,9 @@ class WindowTracker:
         horizon landing exactly on a window boundary closes the window
         ending there and nothing past it.
         """
-        self._drain_live()
         target = -1
-        if self._master:
-            target = max(self._master)
+        if self._live:
+            target = max(self._live)
         if horizon_ms is not None and horizon_ms > 0:
             last = int(math.ceil(horizon_ms / self.window_ms)) - 1
             if last > target:
@@ -280,7 +239,7 @@ class WindowTracker:
         immediately.
         """
 
-        win = self._master.pop(index, None) or _Win()
+        win = self._live.pop(index, None) or _Win()
         sketch = QuantileSketch.of(win.latencies)
         shed_total = sum(win.shed.values())
         self._depth += win.arrivals - shed_total - win.completions

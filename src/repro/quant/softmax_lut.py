@@ -80,10 +80,20 @@ def quantized_softmax(
         probability is ``code / output_levels``); ``numerators`` are the
         8-bit exp codes, exposed because the accelerator's softmax core
         streams them to the divider.
+
+    Raises
+    ------
+    ValueError
+        If the exp LUT's entry 0 (exp(0)) is not positive, or ``mask``
+        leaves a row with no valid key: either would divide 0 by 0.
     """
     score_codes = np.asarray(score_codes, dtype=np.int64)
     if lut is None:
         lut = build_exp_lut(score_scale, output_levels=output_levels)
+    if lut[0] <= 0:
+        raise ValueError(
+            f"exp LUT entry 0 holds exp(0) and must be positive, got {lut[0]}"
+        )
     if mask is not None:
         valid = np.broadcast_to(np.asarray(mask, dtype=bool), score_codes.shape)
         masked_codes = np.where(valid, score_codes, np.iinfo(np.int64).min)
@@ -97,7 +107,14 @@ def quantized_softmax(
     if valid is not None:
         numerators = np.where(valid, numerators, 0)
     denominators = numerators.sum(axis=-1, keepdims=True)
-    # denominator >= lut[0] > 0 always (the max element contributes exp(0)).
+    # A row with a valid key has denominator >= lut[0] > 0 (its max element
+    # contributes exp(0)); only a row the mask empties sums to 0.
+    if (
+        valid is not None
+        and not denominators.all()
+        and not valid.any(axis=-1).all()
+    ):
+        raise ValueError("mask leaves a softmax row with no valid key")
     outputs = np.rint(numerators * output_levels / denominators).astype(np.int64)
     return outputs, numerators
 

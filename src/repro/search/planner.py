@@ -45,7 +45,7 @@ from ..fleet.scenarios import Scenario, builtin_scenarios
 from ..accel.resources import estimate_dsp
 
 PLAN_OBJECTIVES = ("replica-seconds", "energy")
-PLAN_ENGINES = ("columnar", "event")
+PLAN_ENGINES = ("analytic", "columnar")
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,8 @@ def plan_capacity(
             columnar analytic engine, generating the trace columns *and
             bucket indices* once and reusing them across all candidate
             evaluations;
-            ``"event"`` walks the event-loop runner per plan.  The two
+            ``"analytic"`` walks the analytic event-loop runner per plan
+            (the names are ``repro.cli loadtest --engine``'s).  The two
             engines emit byte-identical reports, so the planning result
             is the same either way — columnar is simply much faster.
         chaos: Replay every candidate under this chaos plan as well; a

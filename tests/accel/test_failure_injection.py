@@ -83,12 +83,28 @@ class TestLutCorruption:
         assert not np.all(np.diff(lut) <= 0)
 
     def test_corrupted_lut_changes_attention(self, deployed):
+        """A table without exp(0) would divide 0/0 in every softmax row:
+        it is rejected, naming the table, rather than turned into codes."""
+        engine, ids, mask = deployed
+        lut = engine.layers[0].attention.exp_lut
+        original = lut.copy()
+        lut[:32] = 0  # kill near-max entries, exp(0) included
+        try:
+            with pytest.raises(ValueError, match="exp LUT"):
+                engine.forward(ids, mask)
+        finally:
+            lut[:] = original
+
+    def test_corrupted_lut_tail_changes_attention(self, deployed):
         engine, ids, mask = deployed
         baseline = engine.forward(ids, mask)
-        original = engine.layers[0].attention.exp_lut.copy()
-        engine.layers[0].attention.exp_lut[:32] = 0  # kill near-max entries
-        corrupted = engine.forward(ids, mask)
-        engine.layers[0].attention.exp_lut[:] = original
+        lut = engine.layers[0].attention.exp_lut
+        original = lut.copy()
+        lut[1:32] = 0  # kill near-max entries, exp(0) intact
+        try:
+            corrupted = engine.forward(ids, mask)
+        finally:
+            lut[:] = original
         assert not np.array_equal(baseline, corrupted)
 
 

@@ -165,6 +165,6 @@ class TestCliAnalytic:
         ]
         assert main(args) == 0
         executed_out = capsys.readouterr().out
-        assert main(args + ["--analytic"]) == 0
+        assert main(args + ["--engine", "analytic"]) == 0
         analytic_out = capsys.readouterr().out
         assert analytic_out == executed_out

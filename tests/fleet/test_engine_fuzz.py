@@ -202,13 +202,13 @@ def test_engines_render_the_same_report(
 
 @pytest.mark.skipif(not native_available(), reason="no C compiler")
 @pytest.mark.parametrize("shards", [1, 2, 5])
-def test_forked_shards_carry_hedged_and_retrying_queues(
+def test_shard_edges_carry_hedged_and_retrying_queues(
     shards, cluster_model, hash_tokenizer, weak_spec, fleet_config
 ):
-    """The fuzz above hands state across shard edges in-process.  Here
-    each window runs in a forked worker that pickles the state back, on
-    a load whose state at the edges holds hedged copies and scheduled
-    retries (checked on an in-process replay of the same windows)."""
+    """The fuzz above hands state across shard edges on random loads.
+    Here the load is chosen so that the state at the edges holds hedged
+    copies and scheduled retries (checked on a replay of the same
+    windows), and the sharded run still matches the event loop."""
     from repro.fleet._native import I_HEAP
     from repro.fleet.columnar import ColumnarFleetEngine, _prepare, shard_windows
 
@@ -246,7 +246,7 @@ def test_forked_shards_carry_hedged_and_retrying_queues(
     obs = FleetObserver()
     got = run_scenario_columnar(
         "flash-crowd", cluster_model, hash_tokenizer, specs, fleet_config,
-        shards=shards, shard_processes=True, native=True, obs=obs, **kw,
+        shards=shards, native=True, obs=obs, **kw,
     )
     assert (
         got.to_json(), obs.render_prometheus(), obs.window_lines(),

@@ -172,8 +172,8 @@ class TestReplay:
         assert replayed.windows_seen == len(docs)
 
     def test_pickle_round_trip_resumes_mid_stream(self):
-        # the evaluator rides the observer partial across shard pickles:
-        # resuming a pickled evaluator must match an uninterrupted one
+        # the evaluator is plain state: resuming a pickled evaluator
+        # must match an uninterrupted one
         whole = AlertEvaluator(policy=[FAST_PAGE])
         resumed = AlertEvaluator(policy=[FAST_PAGE])
         stream = [(10.0, 100, 100, 100, 0), (20.0, 100, 100, 0, 0)]

@@ -8,7 +8,7 @@ from repro.cli import main
 from repro.obs import parse_prometheus
 
 FAST = [
-    "loadtest", "--scenario", "flash-crowd", "--replicas", "2", "--analytic",
+    "loadtest", "--scenario", "flash-crowd", "--replicas", "2", "--engine", "analytic",
     "--rate-scale", "0.3", "--duration-scale", "0.5", "--seed", "2",
 ]
 
@@ -44,11 +44,8 @@ class TestLoadtestDumps:
 
     def test_columnar_matches_event_loop(self, tmp_path):
         assert main(FAST + _dump_args(tmp_path, "a")) == 0
-        columnar = [a for a in FAST if a != "--analytic"]
-        assert (
-            main(columnar + ["--columnar", "--shards", "3"] + _dump_args(tmp_path, "b"))
-            == 0
-        )
+        columnar = FAST + ["--engine", "columnar", "--shards", "3"]
+        assert main(columnar + _dump_args(tmp_path, "b")) == 0
         for ext in (".prom", ".json", ".jsonl"):
             assert (tmp_path / f"a{ext}").read_bytes() == (
                 tmp_path / f"b{ext}"
@@ -65,7 +62,7 @@ class TestLoadtestDumps:
     def test_rejects_multi_scenario_dumps(self, tmp_path):
         with pytest.raises(SystemExit, match="single"):
             main(
-                ["loadtest", "--scenario", "all", "--analytic",
+                ["loadtest", "--scenario", "all", "--engine", "analytic",
                  "--metrics-out", str(tmp_path / "x.prom")]
             )
 

@@ -7,7 +7,7 @@ Two byte-level contracts from the module docstring of
    report byte, on either engine.
 2. **Engine equivalence** — the event-loop and columnar engines emit
    byte-identical Prometheus dumps, window JSONL, and Chrome trace JSON,
-   at any shard count, forked workers included.
+   at any shard count.
 
 The matrix mirrors ``tests/fleet/test_columnar_equiv.py`` (same frozen
 model, same weak/strong specs, same autoscale policy and failure plan) so
@@ -18,7 +18,6 @@ import io
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.fleet import (
@@ -86,14 +85,13 @@ class TestScenarioMatrix:
 
 
 class TestShardCounts:
-    """One loaded scenario across shard counts and forked workers."""
+    """One loaded scenario across shard counts."""
 
     @pytest.mark.parametrize(
-        "shards,procs", [(1, False), (2, False), (5, False), (4, True)],
-        ids=["shards1", "shards2", "shards5", "fork4"],
+        "shards", [1, 2, 5], ids=["shards1", "shards2", "shards5"]
     )
     def test_any_shard_count_same_streams(
-        self, shards, procs,
+        self, shards,
         cluster_model, hash_tokenizer, hetero_specs, fleet_config,
     ):
         kw = dict(autoscale=AUTOSCALE, failures=FAILURES, **KW)
@@ -105,47 +103,11 @@ class TestShardCounts:
         )
         got = run_scenario_columnar(
             "flash-crowd", cluster_model, hash_tokenizer, hetero_specs,
-            fleet_config, shards=shards, shard_processes=procs, obs=col_obs,
+            fleet_config, shards=shards, obs=col_obs,
             scale_spec=hetero_specs[0], **kw,
         )
         assert got.to_json() == ref.to_json()
         assert _streams(col_obs) == _streams(ref_obs)
-
-    @pytest.mark.skipif(not native_available(), reason="no C compiler")
-    def test_forked_workers_ship_span_columns(
-        self, monkeypatch,
-        cluster_model, hash_tokenizer, hetero_specs, fleet_config,
-    ):
-        # Forked workers' partials carry batch spans as numeric column
-        # chunks, never as trace-event dicts, and the parent renders the
-        # same trace as the in-process run.
-        absorbed = []
-        absorb = FleetObserver.absorb
-
-        def record(self, partial):
-            absorbed.append(partial)
-            absorb(self, partial)
-
-        monkeypatch.setattr(FleetObserver, "absorb", record)
-
-        def run(procs):
-            obs = FleetObserver()
-            run_scenario_columnar(
-                "flash-crowd", cluster_model, hash_tokenizer, hetero_specs,
-                fleet_config, shards=4, shard_processes=procs, obs=obs,
-                native=True, autoscale=AUTOSCALE, failures=FAILURES,
-                scale_spec=hetero_specs[0], **KW,
-            )
-            return _streams(obs)
-
-        forked = run(True)
-        assert sum(len(partial.batch_spans) > 0 for partial in absorbed) > 1
-        for partial in absorbed:
-            assert all(e["name"] != "batch" for e in partial.trace_events)
-            for chunk in partial.batch_spans:
-                assert len(chunk) == 9
-                assert all(isinstance(column, np.ndarray) for column in chunk)
-        assert forked == run(False)
 
 
 class TestDeterminism:

@@ -53,18 +53,6 @@ def test_emission_order_does_not_change_bytes():
     assert forward.to_json() == backward.to_json()
 
 
-def test_take_drains_and_absorb_restores():
-    t = Tracer()
-    t.add_span("batch", 1.0, 1.0)
-    shipped = t.take()
-    assert t.events == []
-    other = Tracer()
-    other.absorb(shipped)
-    assert other.to_json() == json.dumps(
-        {"displayTimeUnit": "ms", "traceEvents": shipped}, sort_keys=True
-    ) + "\n"
-
-
 def test_json_is_valid_and_stable():
     t = Tracer()
     t.add_span("batch", 1.0, 1.0, args={"bucket": 16, "size": 8})
@@ -266,10 +254,9 @@ def _batch_columns(rng, n):
 @pytest.mark.parametrize("seed", range(10))
 def test_observer_trace_matches_dict_path(seed):
     # Column chunks (the columnar post-pass) interleaved with per-batch
-    # tuples (the event loop), non-batch events, and a shard partial
-    # shipped to a second observer midway.
+    # tuples (the event loop) and non-batch events.
     rng = random.Random(seed)
-    obs, shipped = FleetObserver(), FleetObserver()
+    obs = FleetObserver()
     spans = []
     for step in range(8):
         if rng.random() < 0.5:
@@ -286,20 +273,18 @@ def test_observer_trace_matches_dict_path(seed):
         obs.on_replica(tid, "zcu102", float(step), rng.choice((0.0, 0.5)))
         obs.on_breaker(tid, float(step), "open")
         obs.on_brownout(float(step), step)
-        if step == 4:
-            shipped.absorb(obs.take_partial())
-    shipped.absorb(obs.take_partial())
-    events = shipped._trace_master
-    assert shipped.trace_json() == _reference_json(events, spans)
+    assert obs.trace_json() == _reference_json(obs.tracer.events, spans)
 
 
-def test_on_batch_records_after_take_partial():
+def test_on_batch_records_after_trace_json():
+    # A mid-run export seals the buffered tuples into a chunk; the bound
+    # on_batch append must keep recording into the same buffer.
     obs = FleetObserver()
     first = (0, 16, 1, 1.0, 0.5, 0.5, 0.0, 0.0, 0.0)
     second = (1, 16, 1, 2.0, 0.5, 0.5, 0.0, 0.0, 0.0)
     obs.on_batch(first)
-    partial = obs.take_partial()
-    obs.on_batch(second)
-    assert [chunk[0].tolist() for chunk in partial.batch_spans] == [[0]]
     (event,) = json.loads(obs.trace_json())["traceEvents"]
-    assert event["tid"] == 1 and event["ts"] == 2000.0
+    assert event["tid"] == 0 and event["ts"] == 1000.0
+    obs.on_batch(second)
+    events = json.loads(obs.trace_json())["traceEvents"]
+    assert [(e["tid"], e["ts"]) for e in events] == [(0, 1000.0), (1, 2000.0)]

@@ -108,32 +108,6 @@ class TestDegenerateWindows:
         assert docs[3]["recoveries"] == 1
         assert all(d["queue_depth"] == 0 for d in docs)
 
-    def test_window_split_at_shard_boundary_merges_identically(self):
-        # the same records, once straight through and once drained into
-        # two partials mid-window (what a shard boundary does)
-        records = [(3.0, 2.0), (7.0, 1.5), (12.0, 4.0), (17.0, 2.5)]
-
-        whole = WindowTracker(window_ms=20.0)
-        for finish, lat in records:
-            whole.record_arrival(finish - lat)
-            whole.record_completion(finish, lat, True)
-        whole.flush_all()
-
-        split = WindowTracker(window_ms=20.0)
-        for finish, lat in records[:2]:
-            split.record_arrival(finish - lat)
-            split.record_completion(finish, lat, True)
-        first = split.take()            # shard edge at t=10, mid-window
-        for finish, lat in records[2:]:
-            split.record_arrival(finish - lat)
-            split.record_completion(finish, lat, True)
-        second = split.take()
-        split.absorb(first)
-        split.absorb(second)
-        split.flush_all()
-
-        assert split.lines == whole.lines
-
 
 class TestFlushHorizon:
     """The zero-length-window satellite: trailing event-free windows up

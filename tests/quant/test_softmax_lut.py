@@ -91,6 +91,18 @@ class TestQuantizedSoftmax:
         out, _ = quantized_softmax(codes, 10.0)
         assert len(set(out[0].tolist())) == 1
 
+    def test_rejects_lut_without_exp0(self):
+        lut = build_exp_lut(5.0)
+        lut[0] = 0
+        with pytest.raises(ValueError, match="exp LUT entry 0"):
+            quantized_softmax(np.array([[3, 1, 2]]), 5.0, lut=lut)
+
+    def test_rejects_row_with_no_valid_key(self):
+        codes = np.array([[10, 5], [7, 7]])
+        mask = np.array([[1, 0], [0, 0]])
+        with pytest.raises(ValueError, match="no valid key"):
+            quantized_softmax(codes, 5.0, mask=mask)
+
 
 class TestFakeQuantSoftmax:
     def test_matches_integer_softmax(self, rng):

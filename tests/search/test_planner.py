@@ -316,7 +316,7 @@ class TestPlanEngines:
         target = SloTarget(p99_ms=200.0, max_shed_rate=0.1)
         by_event = plan_capacity(
             "multi-tenant", design_ladder, target, cluster_model,
-            hash_tokenizer, engine="event", **kw,
+            hash_tokenizer, engine="analytic", **kw,
         )
         by_columnar = plan_capacity(
             "multi-tenant", design_ladder, target, cluster_model,

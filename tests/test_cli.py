@@ -209,6 +209,38 @@ class TestLoadtest:
         assert "autoscale on" in out
         assert "scale +1" in out
 
+    def test_every_engine_prints_the_same_report(self, capsys):
+        args = LOADTEST_FAST + ["--scenario", "steady"]
+        outputs = []
+        for engine in ("executed", "analytic", "columnar"):
+            assert main(args + ["--engine", engine]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert main(args) == 0  # executed is the default
+        outputs.append(capsys.readouterr().out)
+        assert "scenario: steady" in outputs[0]
+        assert outputs[1:] == outputs[:1] * 3
+
+    def test_unknown_engine_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["loadtest", "--engine", "event"])
+        assert "invalid choice: 'event'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", [None, "executed", "analytic"])
+    def test_shards_need_the_columnar_engine(self, engine):
+        args = ["loadtest", "--shards", "2"]
+        if engine is not None:
+            args += ["--engine", engine]
+        with pytest.raises(
+            SystemExit, match=r"--shards 2 needs --engine columnar"
+        ):
+            main(args)
+
+    def test_old_engine_flags_are_gone(self, capsys):
+        for flag in ("--analytic", "--columnar"):
+            with pytest.raises(SystemExit):
+                main(["loadtest", flag])
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
             main(["loadtest", "--scenario", "tsunami"])
@@ -267,7 +299,7 @@ class TestLoadtest:
         assert "retries:" in first and "breaker:" in first
         # CLI chaos runs hold the same determinism contract: the
         # columnar engine replays the flags to the same bytes.
-        assert main(args + ["--columnar", "--shards", "2"]) == 0
+        assert main(args + ["--engine", "columnar", "--shards", "2"]) == 0
         assert capsys.readouterr().out == first
 
     def test_bad_chaos_plan_rejected(self, tmp_path):
